@@ -178,15 +178,18 @@ struct DurablePointResult
     bool isolated = true;
 };
 
-/** Scratch durable state directory; removed with its contents. */
+/** Scratch durable state directory under $TMPDIR (default /tmp, never
+    the working directory); removed with its contents. */
 class ScratchStateDir
 {
   public:
     ScratchStateDir()
     {
-        char tmpl[] = "bench-durable-XXXXXX";
-        const char *dir = mkdtemp(tmpl);
-        path_ = dir ? dir : "";
+        const char *tmp = std::getenv("TMPDIR");
+        std::string tmpl = std::string(tmp && *tmp ? tmp : "/tmp") +
+                           "/bench-durable-XXXXXX";
+        if (mkdtemp(tmpl.data()))
+            path_ = tmpl;
     }
 
     ~ScratchStateDir()

@@ -12,7 +12,8 @@
 # the PR's own filename explicitly from CI.
 # Knobs: NEO_BENCH_GAUSSIANS / NEO_BENCH_FRAMES_SCALING / NEO_BENCH_THREADS
 # shrink or grow the run (CI smoke uses the defaults); NEO_BENCH_PR sets
-# the "pr" field when the output name does not imply it;
+# the "pr" field when the output name (BENCH_PR<n>.json or
+# BENCH_PR<n>_<suffix>.json) does not imply it;
 # NEO_BENCH_RASTER_MODE ({blocked,reference,both}, default blocked)
 # selects the rasterizer blend path — "both" also runs the scalar
 # reference sweep and records its raster_ms for the A/B column;
@@ -48,7 +49,7 @@ INTEGRITY="${NEO_BENCH_INTEGRITY:-off}"
 # Derive the trajectory point number from the output name when possible.
 PR="${NEO_BENCH_PR:-}"
 if [[ -z "$PR" ]]; then
-    if [[ "$(basename "$OUT_JSON")" =~ BENCH_PR([0-9]+)\.json ]]; then
+    if [[ "$(basename "$OUT_JSON")" =~ ^BENCH_PR([0-9]+)(_[A-Za-z0-9_]+)?\.json$ ]]; then
         PR="${BASH_REMATCH[1]}"
     else
         PR=5

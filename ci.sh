@@ -41,6 +41,12 @@
 #   NEO_BENCH_BASELINE    previous trajectory point
 #                         (default: BENCH_PR9_scaling.json)
 #   NEO_BENCH_SERVER_JSON serving-layer sweep output (default: BENCH_PR10.json)
+#   NEO_BENCH_PR          "pr" label of every bench record (default: the
+#                         number in $NEO_BENCH_JSON's name)
+#
+# After the smokes, the served-pipeline benchmark's correctness gate runs
+# (servebench/run.py, 5 s per workload, plus servebench/test_counts.py):
+# every frame served over the socket must hash equal to a solo render.
 set -euo pipefail
 
 cd "$(dirname "$0")"
@@ -218,6 +224,24 @@ rm -rf "$DUR_DIR"
 echo "ci.sh: kill-9-and-recover smoke OK (resumed frames bit-identical" \
      "to the uninterrupted solo render)"
 
+# Served-pipeline correctness gate: servebench builds its own Release
+# tree from this checkout, serves each workload over a loopback socket
+# and exits non-zero when a served frame hash differs from the solo
+# reference render; the result line must also read "correct": true.
+# test_counts.py checks the benchmark's request accounting.
+for workload in fleet-dense durable-tiny; do
+    echo "ci.sh: servebench correctness gate ($workload)"
+    SB_OUT="$(python3 servebench/run.py --workload "$workload" --seed 1 \
+        --seconds 5 --trace 0)"
+    if ! tail -n 1 <<<"$SB_OUT" | grep -q '"correct": true'; then
+        echo "ci.sh: FAIL — servebench $workload did not report" \
+             "\"correct\": true" >&2
+        printf '%s\n' "$SB_OUT" >&2
+        exit 1
+    fi
+done
+python3 servebench/test_counts.py
+
 if [[ "${NEO_CI_TSAN:-0}" == "1" ]]; then
     # The serving layer's concurrency contract (submit()/stats() vs one
     # driver per session, shared pool dispatch from N drivers) is
@@ -237,6 +261,16 @@ if [[ "${NEO_CI_TSAN:-0}" == "1" ]]; then
 fi
 
 if [[ "${NEO_CI_BENCH:-0}" == "1" ]]; then
+    if [[ -z "${NEO_BENCH_PR:-}" ]]; then
+        if [[ "$(basename "$NEO_BENCH_JSON")" =~ ^BENCH_PR([0-9]+) ]]; then
+            NEO_BENCH_PR="${BASH_REMATCH[1]}"
+        else
+            echo "ci.sh: cannot derive NEO_BENCH_PR from $NEO_BENCH_JSON;" \
+                 "set it explicitly" >&2
+            exit 1
+        fi
+    fi
+
     echo "ci.sh: checking rasterizer auto-vectorization"
     rc=0
     bench/check_vectorization.sh || rc=$?
@@ -248,7 +282,8 @@ if [[ "${NEO_CI_BENCH:-0}" == "1" ]]; then
     fi
 
     echo "ci.sh: running thread-scaling bench"
-    if ! bench/run_benches.sh "$BUILD_DIR" "$NEO_BENCH_JSON"; then
+    if ! NEO_BENCH_PR="$NEO_BENCH_PR" \
+         bench/run_benches.sh "$BUILD_DIR" "$NEO_BENCH_JSON"; then
         echo "ci.sh: WARNING scaling bench failed (non-gating)" >&2
     else
         if [[ -f "$NEO_BENCH_BASELINE" && "$NEO_BENCH_BASELINE" != "$NEO_BENCH_JSON" ]]; then
@@ -262,7 +297,7 @@ if [[ "${NEO_CI_BENCH:-0}" == "1" ]]; then
         # check-mode overhead above 10% ms/frame at threads=1 fails CI.
         NEO_INTEGRITY_JSON="${NEO_BENCH_JSON%.json}_integrity.json"
         echo "ci.sh: running check-mode integrity bench point"
-        if ! NEO_BENCH_INTEGRITY=check NEO_BENCH_PR="${NEO_BENCH_PR:-10}" \
+        if ! NEO_BENCH_INTEGRITY=check NEO_BENCH_PR="$NEO_BENCH_PR" \
              bench/run_benches.sh "$BUILD_DIR" "$NEO_INTEGRITY_JSON"; then
             echo "ci.sh: WARNING integrity bench failed (non-gating)" >&2
         else
@@ -283,7 +318,7 @@ if [[ "${NEO_CI_BENCH:-0}" == "1" ]]; then
         # file.
         echo "ci.sh: running multi-session serving bench"
         if ! "$BUILD_DIR/bench/bench_server" --json "$NEO_BENCH_SERVER_JSON" \
-             --pr "${NEO_BENCH_PR:-10}" --net --checkpoint; then
+             --pr "$NEO_BENCH_PR" --net --checkpoint; then
             echo "ci.sh: FAIL — serving bench failed (isolation contract" \
                  "or crash)" >&2
             exit 1

@@ -14,6 +14,29 @@
 namespace neo
 {
 
+namespace
+{
+
+/**
+ * First of the three subtile columns (rows) the bounded bitmap tests: one
+ * before the subtile that holds @p m clamped into the tile, moved inward
+ * at the tile border so all three are in the tile (needs subtiles >= 3).
+ * With an integer-valued origin, m - origin is exact for every m in the
+ * tile, and a float quotient by step cannot round up onto the next
+ * integer (the gap below it exceeds half an ulp there), so truncation
+ * yields the exact subtile index.
+ */
+int
+windowStart(float m, float origin, float step, int subtiles)
+{
+    // std::max(0, NaN) is 0, so NaN lands on subtile 0 like m < origin.
+    const float q = std::min(std::max(0.0f, (m - origin) / step),
+                             static_cast<float>(subtiles - 1));
+    return clamp(static_cast<int>(q) - 1, 0, subtiles - 3);
+}
+
+} // namespace
+
 SubtileBitmap
 subtileBitmap(Vec2 mean2d, float radius_px, Vec2 tile_origin, int tile_size,
               int subtile_size)
@@ -22,6 +45,35 @@ subtileBitmap(Vec2 mean2d, float radius_px, Vec2 tile_origin, int tile_size,
     const float step = static_cast<float>(subtile_size);
     const float r2 = radius_px * radius_px;
     SubtileBitmap bitmap = 0;
+    if (subtiles >= 3 && r2 < step * step) {
+        // Bounded footprint: a subtile two or more columns (rows) away
+        // from the one holding the clamped center is at least one step
+        // away along that axis, so dx * dx alone is >= step * step > r2
+        // and its test fails. Only a 3x3 window around the center can
+        // pass. Each of its tests is the full scan's exact expression
+        // (dx * dx + dy * dy <= r2 on the same subtile edges), so the
+        // bitmap is bit-identical to the full scan's; the squared
+        // offsets are computed once per column and row.
+        const int lx = windowStart(mean2d.x, tile_origin.x, step, subtiles);
+        const int ly = windowStart(mean2d.y, tile_origin.y, step, subtiles);
+        float dx2[3];
+        float dy2[3];
+        for (int k = 0; k < 3; ++k) {
+            const float x0 =
+                tile_origin.x + static_cast<float>(lx + k) * step;
+            const float dx = clamp(mean2d.x, x0, x0 + step) - mean2d.x;
+            dx2[k] = dx * dx;
+            const float y0 =
+                tile_origin.y + static_cast<float>(ly + k) * step;
+            const float dy = clamp(mean2d.y, y0, y0 + step) - mean2d.y;
+            dy2[k] = dy * dy;
+        }
+        for (int ky = 0; ky < 3; ++ky)
+            for (int kx = 0; kx < 3; ++kx)
+                bitmap |= SubtileBitmap{dx2[kx] + dy2[ky] <= r2}
+                          << (ky * subtiles + kx);
+        return bitmap << (ly * subtiles + lx);
+    }
     int bit = 0;
     float y0 = tile_origin.y;
     for (int sy = 0; sy < subtiles; ++sy, y0 += step) {
@@ -75,7 +127,9 @@ fastExpNegative(float x)
 size_t
 RasterScratch::capacityBytes() const
 {
-    return bitmaps.capacity() * sizeof(SubtileBitmap) +
+    return (hit_bitmap.capacity() + gauss_bitmap.capacity()) *
+               sizeof(SubtileBitmap) +
+           hit_slot.capacity() * sizeof(int32_t) +
            accum.capacity() * sizeof(Vec3) +
            done.capacity() * sizeof(uint8_t) +
            gauss_color.capacity() * sizeof(Vec3) +
@@ -104,13 +158,11 @@ namespace
  * does not divide the tile size.
  */
 void
-blendReference(const std::vector<TileEntry> &entries,
-               const BinnedFrame &frame, const RasterConfig &cfg,
+blendReference(const BinnedFrame &frame, const RasterConfig &cfg,
                Image *image, RasterScratch &scr, RasterStats &stats,
                int px0, int py0, int w, int h, int subtiles)
 {
     const bool soa = frame.hasFeatureArrays();
-    const std::vector<SubtileBitmap> &bitmaps = scr.bitmaps;
 
     std::vector<float> &transmittance = scr.transmittance;
     std::vector<Vec3> &accum = scr.accum;
@@ -120,10 +172,9 @@ blendReference(const std::vector<TileEntry> &entries,
     done.assign(static_cast<size_t>(w) * h, 0);
     size_t live_pixels = static_cast<size_t>(w) * h;
 
-    for (size_t i = 0; i < entries.size() && live_pixels > 0; ++i) {
-        if (!bitmaps[i])
-            continue;
-        const int32_t slot = frame.slotOf(entries[i].id);
+    for (size_t i = 0; i < scr.hit_slot.size() && live_pixels > 0; ++i) {
+        const SubtileBitmap bm = scr.hit_bitmap[i];
+        const int32_t slot = scr.hit_slot[i];
         const ProjectedGaussian &pg = frame.features[slot];
         const Vec2 mean = soa ? frame.mean2d[slot] : pg.mean2d;
         const Vec3 conic = soa ? frame.conic[slot]
@@ -135,7 +186,7 @@ blendReference(const std::vector<TileEntry> &entries,
             for (int x = 0; x < w; ++x) {
                 int sub_x = x / cfg.subtile_size;
                 int bit = sub_y * subtiles + sub_x;
-                if (!(bitmaps[i] >> bit & 1))
+                if (!(bm >> bit & 1))
                     continue;
                 size_t pi = static_cast<size_t>(y) * w + x;
                 if (done[pi])
@@ -173,12 +224,14 @@ blendReference(const std::vector<TileEntry> &entries,
 
 /**
  * Subtile-blocked blend kernel. Instead of scanning every tile pixel for
- * every Gaussian, the tile's valid entries are bucketed per subtile
- * (CSR, driven by the phase-1 bitmaps) and each subtile's pixel block is
+ * every Gaussian, the tile's hit entries are bucketed per subtile (CSR,
+ * driven by the phase-1 bitmaps) and each subtile's pixel block is
  * blended to completion in contiguous SoA planes:
  *
- *  1. compact the covering Gaussians' hot fields into per-field arrays
- *     (front-to-back order preserved) and build the CSR buckets;
+ *  1. one pass over the phase-1 hit list compacts the covering
+ *     Gaussians' hot fields into per-field arrays (front-to-back order
+ *     preserved), stores their bitmaps and counts the bucket sizes; the
+ *     CSR scatter then reads only the stored bitmaps;
  *  2. per block and Gaussian, a survivor-batched pipeline replaces the
  *     historical test->exp->blend pixel loop:
  *       a. one vectorizable pass evaluates the conic power for all block
@@ -214,58 +267,39 @@ blendReference(const std::vector<TileEntry> &entries,
  * bounds index the bucket array — so on mismatch the function records
  * the fault and returns false *before any pixel write*; the caller then
  * blends the tile through the scalar reference path, which depends only
- * on the (separately fenced) tile entry list and produces bit-identical
- * pixels. Returns true when the tile was blended here.
+ * on the phase-1 hit list (built from the separately fenced tile entry
+ * list, untouched by the CSR) and produces bit-identical pixels. Returns
+ * true when the tile was blended here.
  */
 bool
-blendBlocked(const std::vector<TileEntry> &entries, const BinnedFrame &frame,
-             const RasterConfig &cfg, Image *image, RasterScratch &scr,
-             RasterStats &stats, int px0, int py0, int w, int h,
-             int subtiles, int tile, IntegrityContext *integrity)
+blendBlocked(const BinnedFrame &frame, const RasterConfig &cfg, Image *image,
+             RasterScratch &scr, RasterStats &stats, int px0, int py0, int w,
+             int h, int subtiles, int tile, IntegrityContext *integrity)
 {
-    const std::vector<SubtileBitmap> &bitmaps = scr.bitmaps;
     const int sub = cfg.subtile_size;
     const int subtile_count = subtiles * subtiles;
     const size_t block_cap = static_cast<size_t>(sub) * sub;
 
-    // --- Bucket sizes and the compacted-Gaussian count. Entries whose
-    // peak alpha cannot reach the threshold (opacity < threshold implies
-    // alpha = opacity * falloff <= opacity for falloff in [0, 1]) never
-    // blend in the reference loop either and are dropped here.
+    // --- One pass over the phase-1 hit list: compact the hot Gaussian
+    // fields into SoA arrays (front-to-back order), keep each compacted
+    // entry's bitmap and count the bucket sizes. Entries whose peak alpha
+    // cannot reach the threshold (opacity < threshold implies alpha =
+    // opacity * falloff <= opacity for falloff in [0, 1]) never blend in
+    // the reference loop either and are dropped here.
+    const size_t hits = scr.hit_slot.size();
+    scr.gauss_mean_x.resize(hits);
+    scr.gauss_mean_y.resize(hits);
+    scr.gauss_conic_a.resize(hits);
+    scr.gauss_conic_b.resize(hits);
+    scr.gauss_conic_c.resize(hits);
+    scr.gauss_opacity.resize(hits);
+    scr.gauss_power_cut.resize(hits);
+    scr.gauss_dx_bound_sq.resize(hits);
+    scr.gauss_dy_bound_sq.resize(hits);
+    scr.gauss_color.resize(hits);
+    scr.gauss_bitmap.resize(hits);
     std::vector<uint32_t> &offsets = scr.bucket_offsets;
     offsets.assign(static_cast<size_t>(subtile_count) + 1, 0);
-    uint32_t active = 0;
-    for (size_t i = 0; i < entries.size(); ++i) {
-        SubtileBitmap bm = bitmaps[i];
-        if (!bm)
-            continue;
-        if (frame.opacity[frame.slotOf(entries[i].id)] <
-            cfg.alpha_threshold)
-            continue;
-        ++active;
-        while (bm) {
-            ++offsets[std::countr_zero(bm) + 1];
-            bm &= bm - 1;
-        }
-    }
-    for (int b = 0; b < subtile_count; ++b)
-        offsets[b + 1] += offsets[b];
-    const uint32_t total_refs = offsets[subtile_count];
-
-    // --- Compact the hot Gaussian fields into SoA arrays (front-to-back
-    // order) and scatter the bucket entries; afterwards bucket b spans
-    // [b ? offsets[b-1] : 0, offsets[b]).
-    scr.gauss_mean_x.resize(active);
-    scr.gauss_mean_y.resize(active);
-    scr.gauss_conic_a.resize(active);
-    scr.gauss_conic_b.resize(active);
-    scr.gauss_conic_c.resize(active);
-    scr.gauss_opacity.resize(active);
-    scr.gauss_power_cut.resize(active);
-    scr.gauss_dx_bound_sq.resize(active);
-    scr.gauss_dy_bound_sq.resize(active);
-    scr.gauss_color.resize(active);
-    scr.bucket_entries.resize(total_refs);
     // The skip cut: power < log(threshold / opacity) - 1/16 guarantees
     // alpha < threshold, so skipping the exp there cannot change which
     // pixels blend. The 2^-4 margin (exact in float) is ~4 orders of
@@ -275,15 +309,13 @@ blendBlocked(const std::vector<TileEntry> &entries, const BinnedFrame &frame,
     // kFastExpMaxRelError = 2e-6): a skipped pixel's alpha is below
     // e^(-1/16) * threshold * (1 + ~1e-5) < 0.94 * threshold.
     const float log_threshold = std::log(cfg.alpha_threshold);
-    uint32_t j = 0;
-    for (size_t i = 0; i < entries.size(); ++i) {
-        SubtileBitmap bm = bitmaps[i];
-        if (!bm)
-            continue;
-        const int32_t slot = frame.slotOf(entries[i].id);
+    uint32_t active = 0;
+    for (size_t i = 0; i < hits; ++i) {
+        const int32_t slot = scr.hit_slot[i];
         const float opacity = frame.opacity[slot];
         if (opacity < cfg.alpha_threshold)
             continue;
+        const uint32_t j = active++;
         const Vec2 mean = frame.mean2d[slot];
         const Vec3 conic = frame.conic[slot];
         scr.gauss_mean_x[j] = mean.x;
@@ -326,11 +358,27 @@ blendBlocked(const std::vector<TileEntry> &entries, const BinnedFrame &frame,
         }
         scr.gauss_dx_bound_sq[j] = dx_bound_sq;
         scr.gauss_dy_bound_sq[j] = dy_bound_sq;
+        SubtileBitmap bm = scr.hit_bitmap[i];
+        scr.gauss_bitmap[j] = bm;
+        while (bm) {
+            ++offsets[std::countr_zero(bm) + 1];
+            bm &= bm - 1;
+        }
+    }
+    for (int b = 0; b < subtile_count; ++b)
+        offsets[b + 1] += offsets[b];
+    const uint32_t total_refs = offsets[subtile_count];
+
+    // --- Scatter the bucket entries from the stored bitmaps (no feature
+    // gather); afterwards bucket b spans [b ? offsets[b-1] : 0,
+    // offsets[b]).
+    scr.bucket_entries.resize(total_refs);
+    for (uint32_t j = 0; j < active; ++j) {
+        SubtileBitmap bm = scr.gauss_bitmap[j];
         while (bm) {
             scr.bucket_entries[offsets[std::countr_zero(bm)]++] = j;
             bm &= bm - 1;
         }
-        ++j;
     }
 
     if (integrity) {
@@ -623,10 +671,36 @@ rasterizeTile(const std::vector<TileEntry> &entries, const BinnedFrame &frame,
     // fall back to the AoS feature records otherwise.
     const bool soa = frame.hasFeatureArrays();
 
-    // Phase 1 (ITU): subtile bitmaps and valid bits.
-    std::vector<SubtileBitmap> &bitmaps = scr.bitmaps;
-    bitmaps.assign(entries.size(), 0);
-    for (size_t i = 0; i < entries.size(); ++i) {
+    // Phase 1 (ITU): subtile bitmaps and valid bits. The entries that hit
+    // at least one subtile are compacted, in entry order, into the hit
+    // list (feature slot + bitmap) both blend paths read, so no entry's
+    // slot is looked up twice. The writes are unconditional and the
+    // count advances by the predicate.
+    //
+    // Entries come in depth order, so every feature read is a gather at a
+    // random slot. The loop prefetches the id -> slot map 2 * kAhead
+    // entries ahead and the SoA fields of the slot kAhead entries ahead
+    // (the blocked kernel's too, so its compaction pass reads from
+    // cache), which overlaps those misses instead of stalling on each.
+    constexpr size_t kAhead = 16;
+    const size_t n = entries.size();
+    scr.hit_slot.resize(n);
+    scr.hit_bitmap.resize(n);
+    uint32_t hits = 0;
+    for (size_t i = 0; i < n; ++i) {
+        if (soa && i + 2 * kAhead < n &&
+            entries[i + 2 * kAhead].id < frame.feature_of_id.size())
+            __builtin_prefetch(
+                &frame.feature_of_id[entries[i + 2 * kAhead].id]);
+        if (soa && i + kAhead < n &&
+            frame.isVisible(entries[i + kAhead].id)) {
+            const int32_t ahead = frame.slotOf(entries[i + kAhead].id);
+            __builtin_prefetch(&frame.mean2d[ahead]);
+            __builtin_prefetch(&frame.radius_px[ahead]);
+            __builtin_prefetch(&frame.opacity[ahead]);
+            __builtin_prefetch(&frame.conic[ahead]);
+            __builtin_prefetch(&frame.color[ahead]);
+        }
         if (!entries[i].valid || !frame.isVisible(entries[i].id))
             continue;
         const int32_t slot = frame.slotOf(entries[i].id);
@@ -634,17 +708,19 @@ rasterizeTile(const std::vector<TileEntry> &entries, const BinnedFrame &frame,
                               : frame.features[slot].mean2d;
         const float radius = soa ? frame.radius_px[slot]
                                  : frame.features[slot].radius_px;
-        bitmaps[i] =
-            subtileBitmap(mean, radius, origin, tile_size,
-                          cfg.subtile_size);
+        const SubtileBitmap bm = subtileBitmap(mean, radius, origin,
+                                               tile_size, cfg.subtile_size);
         stats.intersection_tests +=
             static_cast<uint64_t>(subtiles) * subtiles;
-        if (bitmaps[i]) {
-            ++stats.gaussians_blended;
-            if (valid_out)
-                (*valid_out)[i] = 1;
-        }
+        scr.hit_slot[hits] = slot;
+        scr.hit_bitmap[hits] = bm;
+        hits += bm != 0;
+        if (valid_out)
+            (*valid_out)[i] = bm != 0;
     }
+    scr.hit_slot.resize(hits);
+    scr.hit_bitmap.resize(hits);
+    stats.gaussians_blended = hits;
 
     if (!image) {
         // Dry run: ITU work only.
@@ -665,12 +741,12 @@ rasterizeTile(const std::vector<TileEntry> &entries, const BinnedFrame &frame,
                          tile_size % cfg.subtile_size == 0;
     // blendBlocked returns false only when its integrity fence caught a
     // corrupted CSR (before any pixel write); the reference blend then
-    // re-renders the tile from the intact entry list.
+    // re-renders the tile from the intact hit list.
     if (!blocked ||
-        !blendBlocked(entries, frame, cfg, image, scr, stats, px0, py0, w,
-                      h, subtiles, tile, integrity))
-        blendReference(entries, frame, cfg, image, scr, stats, px0, py0,
-                       w, h, subtiles);
+        !blendBlocked(frame, cfg, image, scr, stats, px0, py0, w, h,
+                      subtiles, tile, integrity))
+        blendReference(frame, cfg, image, scr, stats, px0, py0, w, h,
+                       subtiles);
     return stats;
 }
 

@@ -10,10 +10,18 @@
  * skipped for subtiles the Gaussian does not touch. The cumulative OR of
  * the bitmaps yields the valid bit Neo uses to flag outgoing Gaussians.
  *
+ * Phase 1 (the ITU pass) walks the tile entries once. A footprint smaller
+ * than a subtile is tested only against the 3x3 subtiles around its
+ * clamped center (no other subtile can pass), larger ones against every
+ * subtile. Entries with a nonzero bitmap are compacted into a hit list of
+ * (feature slot, bitmap) pairs, which is all either blend path reads.
+ *
  * Two software implementations of the blend phase share that contract:
  *
- *  - the **subtile-blocked kernel** (default): entries are bucketed per
- *    subtile from the bitmaps, and each subtile's pixel block is blended
+ *  - the **subtile-blocked kernel** (default): one pass over the hit list
+ *    gathers each covering Gaussian's hot fields and bitmap and counts the
+ *    buckets, the entries are then bucketed per subtile from the stored
+ *    bitmaps, and each subtile's pixel block is blended
  *    to completion in contiguous SoA scratch planes through a survivor-
  *    batched pipeline — vectorized conic-power plane, survivor
  *    compaction, a batched branchless exp over the dense survivor list,
@@ -95,10 +103,17 @@ using SubtileBitmap = uint64_t;
 
 /**
  * Intersection Test Unit model: conservative test of a Gaussian footprint
- * (screen center + radius) against every subtile of a tile. This SoA form
- * is the hot path; the squared radius is hoisted out of the loop and the
- * subtile origins advance incrementally (both exact in float, since all
- * quantities involved are small integers).
+ * (screen center + radius) against every subtile of a tile. A subtile is
+ * hit when dx * dx + dy * dy <= radius^2, with (dx, dy) the offset from
+ * the center to the closest point of the subtile rectangle.
+ *
+ * When radius^2 < subtile_size^2 and the tile is at least 3 subtiles
+ * wide, only a 3x3 window around the subtile holding the clamped center
+ * is evaluated (shifted inward at the tile border), branch-free and with
+ * the same float expression; the result is bit-identical to testing
+ * every subtile (pinned by tests/test_raster.cpp). Subtile edges are computed
+ * as tile_origin + k * subtile_size, so tile origins are expected to be
+ * integer-valued (as TileGrid produces), which makes every edge exact.
  */
 SubtileBitmap subtileBitmap(Vec2 mean2d, float radius_px, Vec2 tile_origin,
                             int tile_size, int subtile_size);
@@ -202,16 +217,21 @@ constexpr const char *kRasterKernelVariant =
  * allocations across all tiles the worker rasterizes; every element is
  * overwritten before use, so reuse cannot change results.
  *
- * The first block of vectors serves the ITU pass and the scalar reference
- * blend; the rest is the subtile-blocked kernel's working set: one SoA
- * array per hot Gaussian field (compacted over the entries that hit at
- * least one subtile), the CSR subtile buckets, and the per-block pixel
+ * The hit list is the ITU pass's output, read by both blend paths; the
+ * next block serves the scalar reference blend; the rest is the
+ * subtile-blocked kernel's working set: one SoA array per hot Gaussian
+ * field plus its bitmap (compacted over the hits that can reach the
+ * alpha threshold), the CSR subtile buckets, and the per-block pixel
  * planes (transmittance / r / g / b / falloff power), each
- * subtile_size^2 floats and contiguous by construction.
+ * subtile_size^2 floats and contiguous by construction. Every vector
+ * grows to its high-water mark and is then reused without allocating.
  */
 struct RasterScratch
 {
-    std::vector<SubtileBitmap> bitmaps;
+    // ITU hit list: feature slot and bitmap of each entry that hits at
+    // least one subtile, in entry (front-to-back) order.
+    std::vector<int32_t> hit_slot;
+    std::vector<SubtileBitmap> hit_bitmap;
     // Scalar reference blend planes.
     std::vector<float> transmittance;
     std::vector<Vec3> accum;
@@ -230,6 +250,7 @@ struct RasterScratch
     std::vector<float> gauss_dx_bound_sq;
     std::vector<float> gauss_dy_bound_sq;
     std::vector<Vec3> gauss_color;
+    std::vector<SubtileBitmap> gauss_bitmap;
     // Blocked kernel: CSR buckets mapping subtile -> covering Gaussians.
     std::vector<uint32_t> bucket_offsets;
     std::vector<uint32_t> bucket_entries;

@@ -74,6 +74,169 @@ TEST(SubtileBitmapTest, BitmapGrowsWithRadius)
     EXPECT_GT(std::popcount(large), std::popcount(small));
 }
 
+// --- Bounded bitmap vs the full subtile scan ----------------------------
+//
+// subtileBitmap evaluates only the 3x3 subtiles around the clamped center
+// when the footprint is smaller than a subtile. The blocked-vs-reference
+// tests cannot catch a wrong bitmap (both blend paths read the same
+// phase-1 bitmaps), so the bitmap is pinned bit for bit to a copy of the
+// historical formulation: every subtile tested, origins advanced
+// incrementally.
+
+SubtileBitmap
+fullScanBitmap(Vec2 mean2d, float radius_px, Vec2 tile_origin, int tile_size,
+               int subtile_size)
+{
+    const int subtiles = tile_size / subtile_size;
+    const float step = static_cast<float>(subtile_size);
+    const float r2 = radius_px * radius_px;
+    SubtileBitmap bitmap = 0;
+    int bit = 0;
+    float y0 = tile_origin.y;
+    for (int sy = 0; sy < subtiles; ++sy, y0 += step) {
+        const float cy = clamp(mean2d.y, y0, y0 + step);
+        const float dy = cy - mean2d.y;
+        const float dy2 = dy * dy;
+        float x0 = tile_origin.x;
+        for (int sx = 0; sx < subtiles; ++sx, ++bit, x0 += step) {
+            float cx = clamp(mean2d.x, x0, x0 + step);
+            float dx = cx - mean2d.x;
+            if (dx * dx + dy2 <= r2)
+                bitmap |= (SubtileBitmap{1} << bit);
+        }
+    }
+    return bitmap;
+}
+
+/** Asserts the bitmap equals the full scan; returns false on mismatch. */
+bool
+bitmapMatchesFullScan(Vec2 mean, float radius, Vec2 origin, int tile,
+                      int sub)
+{
+    const SubtileBitmap got = subtileBitmap(mean, radius, origin, tile, sub);
+    const SubtileBitmap want = fullScanBitmap(mean, radius, origin, tile, sub);
+    EXPECT_EQ(got, want) << "mean=(" << mean.x << ", " << mean.y
+                         << ") radius=" << radius << " origin=(" << origin.x
+                         << ", " << origin.y << ") tile=" << tile
+                         << " subtile=" << sub;
+    return got == want;
+}
+
+struct TileShape
+{
+    int tile;
+    int subtile;
+};
+
+// 48/12 is not a power-of-two split, so dividing by the subtile size
+// rounds when the bounded path locates the center subtile.
+constexpr TileShape kBitmapShapes[] = {{16, 4}, {64, 8}, {64, 16}, {48, 12}};
+
+/** Radii just below, at and above the subtile size, plus small ones. */
+std::vector<float>
+boundaryRadii(float step)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    return {0.0f,
+            std::numeric_limits<float>::denorm_min(),
+            0.5f,
+            2.0f,
+            0.5f * step,
+            step - 1.0f,
+            std::nextafter(step, 0.0f),
+            step,
+            std::nextafter(step, inf),
+            step + 1.0f,
+            2.0f * step,
+            -2.0f,
+            -std::nextafter(step, 0.0f),
+            -step,
+            -3.0f * step};
+}
+
+TEST(SubtileBitmapTest, BoundedMatchesFullScanOnEdges)
+{
+    // Centers exactly on every subtile edge, one ulp either side of it,
+    // and at subtile midpoints, from two subtiles outside the tile to two
+    // past it — the positions where the 3x3 window could be off by one.
+    for (const TileShape shape : kBitmapShapes) {
+        const int n = shape.tile / shape.subtile;
+        const float step = static_cast<float>(shape.subtile);
+        for (const Vec2 origin :
+             {Vec2{0.0f, 0.0f}, Vec2{static_cast<float>(3 * shape.tile),
+                                     static_cast<float>(2 * shape.tile)}}) {
+            auto positions = [&](float o) {
+                std::vector<float> out;
+                for (int k = -2; k <= n + 2; ++k) {
+                    const float edge = o + static_cast<float>(k) * step;
+                    out.push_back(edge);
+                    out.push_back(std::nextafter(edge, -1e30f));
+                    out.push_back(std::nextafter(edge, 1e30f));
+                    out.push_back(edge + 0.5f * step);
+                }
+                return out;
+            };
+            const std::vector<float> xs = positions(origin.x);
+            const std::vector<float> ys = positions(origin.y);
+            for (const float r : boundaryRadii(step))
+                for (const float y : ys)
+                    for (const float x : xs)
+                        ASSERT_TRUE(bitmapMatchesFullScan(
+                            {x, y}, r, origin, shape.tile, shape.subtile));
+        }
+    }
+}
+
+TEST(SubtileBitmapTest, BoundedMatchesFullScanOnNonFinite)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float specials[] = {nan, inf, -inf, 1e30f, -1e30f};
+    for (const TileShape shape : kBitmapShapes) {
+        const Vec2 origin{static_cast<float>(shape.tile), 0.0f};
+        const float step = static_cast<float>(shape.subtile);
+        const Vec2 inside{origin.x + 1.5f * step, origin.y + 1.5f * step};
+        std::vector<float> radii = boundaryRadii(step);
+        radii.insert(radii.end(), {nan, inf, -inf});
+        for (const float r : radii)
+            for (const float s : specials) {
+                ASSERT_TRUE(bitmapMatchesFullScan({s, inside.y}, r, origin,
+                                                  shape.tile, shape.subtile));
+                ASSERT_TRUE(bitmapMatchesFullScan({inside.x, s}, r, origin,
+                                                  shape.tile, shape.subtile));
+                ASSERT_TRUE(bitmapMatchesFullScan({s, s}, r, origin,
+                                                  shape.tile, shape.subtile));
+            }
+        for (const float r : {nan, inf, -inf})
+            ASSERT_TRUE(bitmapMatchesFullScan(inside, r, origin, shape.tile,
+                                              shape.subtile));
+    }
+}
+
+TEST(SubtileBitmapTest, BoundedMatchesFullScanRandom)
+{
+    Rng rng(4242);
+    for (const TileShape shape : kBitmapShapes) {
+        const float step = static_cast<float>(shape.subtile);
+        const float tile = static_cast<float>(shape.tile);
+        for (int i = 0; i < 50000; ++i) {
+            const Vec2 origin{tile * static_cast<float>(rng.next() % 40),
+                              tile * static_cast<float>(rng.next() % 24)};
+            const Vec2 mean{
+                origin.x + rng.uniform(-2.0f * step, tile + 2.0f * step),
+                origin.y + rng.uniform(-2.0f * step, tile + 2.0f * step)};
+            // Mostly sub-subtile footprints (the bounded path), with a
+            // share of integer radii (what projection produces) and of
+            // larger ones.
+            float r = rng.uniform(0.0f, 1.5f * step);
+            if (i % 3 == 0)
+                r = std::ceil(r);
+            ASSERT_TRUE(bitmapMatchesFullScan(mean, r, origin, shape.tile,
+                                              shape.subtile));
+        }
+    }
+}
+
 TEST(RasterizeTest, SingleGaussianColorsCenterPixel)
 {
     BinnedFrame frame =
@@ -590,6 +753,59 @@ TEST(BlockedVsReference, SaturatedMidBatchBitIdentical)
         EXPECT_EQ(blocked_img.contentHash(), ref_img.contentHash())
             << "fast_exp=" << fast_exp;
     }
+}
+
+TEST(BlockedVsReference, DenseTinySplatsBitIdentical)
+{
+    // The served workload's shape: tens of thousands of splats a few
+    // pixels across, 64-px tiles with 8-px subtiles, so nearly every
+    // bitmap comes from the bounded 3x3 path and most entries hit one to
+    // four subtiles. 300x181 adds partial edge tiles and blocks.
+    GaussianScene scene;
+    Rng rng(2026);
+    for (int i = 0; i < 28000; ++i)
+        scene.gaussians.push_back(test::makeGaussian(
+            {rng.uniform(-3.6f, 3.6f), rng.uniform(-2.2f, 2.2f),
+             rng.uniform(-1.0f, 1.0f)},
+            rng.uniform(0.001f, 0.008f), rng.uniform(0.2f, 0.95f),
+            {rng.uniform(0.1f, 1.0f), rng.uniform(0.1f, 1.0f),
+             rng.uniform(0.1f, 1.0f)}));
+    recomputeBounds(scene);
+
+    for (const Resolution res :
+         {Resolution{320, 192, "fleet"}, Resolution{300, 181, "ragged"}}) {
+        Camera cam = test::frontCamera(5.0f, res);
+        BinnedFrame frame = binFrame(scene, cam, 64);
+        ASSERT_GT(frame.radius_px.size(), 20000u) << res.name;
+        std::vector<float> radii = frame.radius_px;
+        std::nth_element(radii.begin(), radii.begin() + radii.size() / 2,
+                         radii.end());
+        const float median = radii[radii.size() / 2];
+        EXPECT_GE(median, 1.5f);
+        EXPECT_LE(median, 2.5f);
+
+        expectBlockedMatchesReference(scene, res, 64, 8, false);
+
+        // Dry run: identical valid bits and ITU counters, no blend work.
+        RasterConfig cfg;
+        Image image(res.width, res.height);
+        for (int tile = 0; tile < frame.grid.tileCount(); ++tile) {
+            auto entries = frame.tiles[tile];
+            std::sort(entries.begin(), entries.end(), entryDepthLess);
+            std::vector<uint8_t> valid, dry_valid;
+            const RasterStats full =
+                rasterizeTile(entries, frame, tile, cfg, &image, &valid);
+            const RasterStats dry = rasterizeTile(entries, frame, tile, cfg,
+                                                  nullptr, &dry_valid);
+            EXPECT_EQ(valid, dry_valid) << "tile " << tile;
+            EXPECT_EQ(dry.gaussians_in, full.gaussians_in);
+            EXPECT_EQ(dry.intersection_tests, full.intersection_tests);
+            EXPECT_EQ(dry.gaussians_blended, full.gaussians_blended);
+            EXPECT_EQ(dry.blend_ops, 0u);
+            EXPECT_EQ(dry.pixels_terminated, 0u);
+        }
+    }
+    expectBlockedMatchesReference(scene, {320, 192, "fleet"}, 64, 8, true);
 }
 
 TEST(RasterizeTest, DryRunDoesOnlyItuWork)
