@@ -20,6 +20,12 @@
 #     4. the key unpack/reconstruct loop of the fused small-sort batch
 #        kernel keySortTable (the line writing `out[i].id = ...`);
 #     and at least MIN_VECTORIZED_SORT loops overall.
+#   src/gs/projection.cpp (built with -fno-math-errno, as in
+#   src/gs/CMakeLists.txt: with math errno on, GCC keeps an errno branch
+#   around sqrt and the kernel loop has control flow)
+#     5. the cull/project/SH loop of projectBlock
+#        (the line reading `px = in.px[i]`);
+#     and at least MIN_VECTORIZED_PROJECTION loops overall.
 #
 # A silent vectorization regression (e.g. an accidental loop-carried
 # dependency, a call in the inner loop, or a select turned back into a
@@ -39,6 +45,7 @@ CXX_BIN="${1:-${CXX:-g++}}"
 MIN_VECTORIZED_RASTER=3
 MIN_VECTORIZED_TRACKER=1
 MIN_VECTORIZED_SORT=1
+MIN_VECTORIZED_PROJECTION=2
 
 if ! "$CXX_BIN" --version 2>/dev/null | grep -qiE "gcc|g\+\+"; then
     echo "check_vectorization.sh: SKIP — $CXX_BIN is not GCC," \
@@ -48,10 +55,12 @@ fi
 
 fail=0
 
-# vectorized_lines SRC -> unique source lines reported "loop vectorized"
+# vectorized_lines SRC [EXTRA_FLAG...] -> unique source lines reported
+# "loop vectorized"
 vectorized_lines() {
     local src="$1"
-    "$CXX_BIN" -std=c++20 -O3 -DNDEBUG -Wall -Isrc -c "$src" \
+    shift
+    "$CXX_BIN" -std=c++20 -O3 -DNDEBUG -Wall -Isrc "$@" -c "$src" \
         -o /dev/null -fopt-info-vec-optimized 2>&1 |
         grep -F "$src" |
         grep -E "optimized: *loop vectorized" |
@@ -120,6 +129,12 @@ sort_lines="$(vectorized_lines src/gs/tile_sort.cpp)"
 require_count src/gs/tile_sort.cpp "$sort_lines" "$MIN_VECTORIZED_SORT"
 require_marker src/gs/tile_sort.cpp "$sort_lines" \
     'out\[i\].id = static_cast<uint32_t>' "key-sort unpack"
+
+projection_lines="$(vectorized_lines src/gs/projection.cpp -fno-math-errno)"
+require_count src/gs/projection.cpp "$projection_lines" \
+    "$MIN_VECTORIZED_PROJECTION"
+require_marker src/gs/projection.cpp "$projection_lines" \
+    'const float px = in.px\[i\]' "projection kernel"
 
 if ((fail)); then
     exit 1

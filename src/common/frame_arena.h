@@ -33,7 +33,7 @@ namespace neo
  */
 enum : int
 {
-    kArenaKeysBinning = 0x100,   //!< gs/tiling.cpp (scatter scratch)
+    kArenaKeysBinning = 0x100,   //!< gs/tiling.cpp (binning scratch)
     kArenaKeysRaster = 0x200,    //!< gs/pipeline.cpp (raster accumulators)
     kArenaKeysHarness = 0x300,   //!< sim/perf_harness.cpp
     kArenaKeysIntegrity = 0x400, //!< common/integrity.cpp (shadow copies)

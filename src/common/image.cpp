@@ -107,18 +107,35 @@ Image::writePpm(const std::string &path) const
 uint64_t
 Image::contentHash() const
 {
-    uint64_t h = 1469598103934665603ull;
-    for (const Vec3 &px : data_) {
-        for (float c : {px.x, px.y, px.z}) {
-            uint32_t bits;
-            std::memcpy(&bits, &c, sizeof(bits));
-            for (int i = 0; i < 4; ++i) {
-                h ^= (bits >> (8 * i)) & 0xffu;
-                h *= 1099511628211ull;
-            }
-        }
+    // FNV-1a steps over 32-bit words in kLanes independent lanes (word i
+    // feeds lane i % kLanes), so the multiply chains overlap instead of
+    // running one per byte. Each step h = (h ^ w) * prime is a bijection
+    // of its lane's state, and the fold is a bijection in each lane, so
+    // any single changed bit changes the result.
+    constexpr uint64_t kOffset = 1469598103934665603ull;
+    constexpr uint64_t kPrime = 1099511628211ull;
+    constexpr size_t kLanes = 4;
+    static_assert(sizeof(Vec3) == 3 * sizeof(uint32_t),
+                  "contentHash reads pixels as packed 32-bit words");
+    const size_t words = data_.size() * 3;
+    const auto *bytes = reinterpret_cast<const unsigned char *>(data_.data());
+    uint64_t h[kLanes] = {kOffset, kOffset, kOffset, kOffset};
+    size_t i = 0;
+    for (; i + kLanes <= words; i += kLanes) {
+        uint32_t w[kLanes];
+        std::memcpy(w, bytes + i * sizeof(uint32_t), sizeof(w));
+        for (size_t l = 0; l < kLanes; ++l)
+            h[l] = (h[l] ^ w[l]) * kPrime;
     }
-    return h;
+    for (size_t l = 0; i < words; ++i, ++l) {
+        uint32_t w;
+        std::memcpy(&w, bytes + i * sizeof(uint32_t), sizeof(w));
+        h[l] = (h[l] ^ w) * kPrime;
+    }
+    uint64_t out = h[0];
+    for (size_t l = 1; l < kLanes; ++l)
+        out = (out * kPrime) ^ h[l];
+    return out;
 }
 
 } // namespace neo

@@ -67,10 +67,14 @@ class Image
     bool writePpm(const std::string &path) const;
 
     /**
-     * FNV-1a over the raw bit pattern of every pixel channel. THE
-     * definition of "bit-identical frames" shared by the determinism
-     * tests and the thread-scaling bench; collisions don't matter,
-     * sensitivity to any single changed bit does.
+     * Digest of the raw bit pattern of every pixel channel: FNV-1a steps
+     * over the channels' 32-bit words in four interleaved lanes, folded
+     * at the end. THE definition of "bit-identical frames" shared by the
+     * determinism tests, the servers' solo-reference checks and the
+     * thread-scaling bench; collisions don't matter, sensitivity to any
+     * single changed bit does (every step and the fold are bijections of
+     * each lane). Values are not persisted: compare them only within one
+     * build.
      */
     uint64_t contentHash() const;
 

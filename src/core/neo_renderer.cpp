@@ -93,8 +93,8 @@ NeoRenderer::binStage(const GaussianScene &scene, const Camera &camera,
         integrity_.verifyTiles(IntegrityStage::Binning, kIntegrityBinTiles,
                                frame_.tiles);
 
-        // Projection fences: the feature SoA arrays are filled during
-        // the binning scatter; seal them here and verify before the
+        // Projection fences: the feature SoA arrays are filled by the
+        // projection pass of binning; seal them here and verify before the
         // sorter's deferred depth update copies frame depths into the
         // persistent tables — a corrupted depth caught any later would
         // already have poisoned cross-frame state.

@@ -101,13 +101,15 @@ ReuseUpdateSorter::updateFrame(const BinnedFrame &frame, uint64_t frame_index)
             TileDelta &td = delta_.tiles[t];
 
             // ① Reordering: Dynamic Partial Sorting of the reused table.
-            dynamicPartialSort(table, frame_index, dps_, &s.stats);
+            dynamicPartialSort(table, frame_index, dps_, &s.stats,
+                               &s.merge_scratch);
 
             // ② Insertion: conventional sort of the (small) incoming
             // table, staged in the chunk's reusable buffer.
             s.incoming_sorted.assign(td.incoming.begin(),
                                      td.incoming.end());
-            fullSortTable(s.incoming_sorted, &s.stats, threads_);
+            fullSortTable(s.incoming_sorted, &s.stats, threads_,
+                          &s.merge_scratch);
 
             // ③ Deletion happens inside the same MSU+ pass that merges
             // the incoming table: entries invalidated during the previous
@@ -116,9 +118,11 @@ ReuseUpdateSorter::updateFrame(const BinnedFrame &frame, uint64_t frame_index)
             msuUpdateTable(table, s.incoming_sorted, s.merged,
                            &s.stats.msu, threads_);
             s.deleted += s.stats.msu.filtered_invalid - invalid_before;
-            // Swap rather than move: the displaced table storage becomes
-            // the next merge's output buffer.
-            std::swap(table, s.merged);
+            // Copy back rather than swap: a swap would hand this tile's
+            // storage to the chunk's next tile, so capacities would rotate
+            // between tiles of different sizes and reallocate every
+            // frame; copied, each table keeps its own high-water storage.
+            table.assign(s.merged.begin(), s.merged.end());
             s.merged.clear();
 
             s.incoming += s.incoming_sorted.size();
@@ -140,19 +144,20 @@ ReuseUpdateSorter::deferredDepthUpdate(const BinnedFrame &frame)
     // footprint no longer intersects the tile (cumulative-OR of the ITU
     // bitmaps). Both take effect for the *next* frame's sorting pass.
     static const std::vector<GaussianId> kNoOutgoing;
-    const bool soa = frame.hasFeatureArrays();
     const size_t tiles = tables_.tileCount();
-    for (uint64_t marked : parallelForAccumulate<uint64_t>(
-             tiles, threads_, [&](size_t begin, size_t end,
-                                  uint64_t &m) {
+    // Per-chunk marked counts, summed in chunk order; a member, so the
+    // warm frame loop does not allocate them.
+    marked_.assign(parallelChunkCount(tiles, threads_), 0);
+    parallelFor(tiles, threads_, [&](size_t begin, size_t end,
+                                     size_t chunk) {
+        uint64_t m = 0;
         for (size_t t = begin; t < end; ++t) {
             const auto &outgoing = delta_.tiles.size() == tiles
                                        ? delta_.tiles[t].outgoing_ids
                                        : kNoOutgoing;
             for (TileEntry &e : tables_.table(t)) {
                 if (frame.isVisible(e.id))
-                    e.depth = soa ? frame.depth[frame.slotOf(e.id)]
-                                  : frame.featureOf(e.id).depth;
+                    e.depth = frame.depth[frame.slotOf(e.id)];
                 if (!outgoing.empty() &&
                     std::binary_search(outgoing.begin(), outgoing.end(),
                                        e.id)) {
@@ -161,7 +166,9 @@ ReuseUpdateSorter::deferredDepthUpdate(const BinnedFrame &frame)
                 }
             }
         }
-    }))
+        marked_[chunk] = m;
+    });
+    for (uint64_t marked : marked_)
         report_.outgoing_marked += marked;
 }
 

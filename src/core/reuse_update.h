@@ -139,6 +139,7 @@ class ReuseUpdateSorter : public SortingStrategy
         uint64_t deleted = 0;
         std::vector<TileEntry> incoming_sorted;
         std::vector<TileEntry> merged;
+        std::vector<TileEntry> merge_scratch; //!< msuMergeRuns staging
     };
 
     DynamicPartialConfig dps_;
@@ -147,6 +148,8 @@ class ReuseUpdateSorter : public SortingStrategy
     FrameDelta delta_;
     ReuseUpdateReport report_;
     std::vector<UpdateScratch> update_scratch_;
+    /** Per-chunk outgoing-marked counts of deferredDepthUpdate. */
+    std::vector<uint64_t> marked_;
     /** Fused tile batches of the current frame (see parallelForBatched):
         rebuilt each frame from the per-tile work weights, reusing
         capacity. */

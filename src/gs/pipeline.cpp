@@ -133,7 +133,7 @@ Renderer::renderInto(Image &image, const BinnedFrame &frame,
 
     FrameStats local;
     local.scene_gaussians = frame.feature_of_id.size();
-    local.visible_gaussians = frame.features.size();
+    local.visible_gaussians = frame.visibleCount();
     local.instances = frame.instances;
     local.mean_tile_length = frame.meanTileLength();
 
@@ -195,7 +195,7 @@ Renderer::workloadFromBinned(const BinnedFrame &frame, Resolution res) const
     w.res = res;
     w.tile_size = frame.grid.tile_size;
     w.scene_gaussians = frame.feature_of_id.size();
-    w.visible_gaussians = frame.features.size();
+    w.visible_gaussians = frame.visibleCount();
     w.instances = frame.instances;
     const int subtiles_1d = frame.grid.tile_size / opts_.raster.subtile_size;
     const int threads = resolveThreadCount(opts_.threads);

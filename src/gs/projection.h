@@ -10,8 +10,9 @@
 #ifndef NEO_GS_PROJECTION_H
 #define NEO_GS_PROJECTION_H
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "gs/camera.h"
 #include "gs/gaussian.h"
@@ -58,28 +59,64 @@ projectGaussian(const Gaussian &g, GaussianId id, const Camera &camera,
 Vec3 ewaCovariance2d(const Mat3 &cov3d_cam, const Vec3 &cam, float focal_x,
                      float focal_y);
 
-/**
- * Frustum-cull and project every Gaussian of @p scene (pipeline stages
- * 1-2 for a whole frame, including the SH color evaluation). Slot i of the
- * result always corresponds to Gaussian i, and each slot is a pure
- * function of (scene[i], camera), so the output is bit-identical for any
- * thread count.
- *
- * @param threads requested thread count (resolveThreadCount semantics:
- *        0 defers to NEO_THREADS, default serial)
- */
-std::vector<std::optional<ProjectedGaussian>>
-projectScene(const GaussianScene &scene, const Camera &camera,
-             int threads = 0);
+/** Lanes of one projectBlock call: the SIMD front end's block size. */
+constexpr size_t kProjectLanes = 16;
 
 /**
- * projectScene into a caller-owned slot array, reusing its capacity. The
- * vector is reset to scene.size() nullopt slots first, so stale entries
- * from a previous frame can never leak through.
+ * The camera terms projectBlock reads, hoisted once per frame. Each is
+ * computed with the expression inFrustum / projectGaussian / shColor use,
+ * so the kernel reproduces their results bit for bit.
  */
-void projectSceneInto(std::vector<std::optional<ProjectedGaussian>> &out,
-                      const GaussianScene &scene, const Camera &camera,
-                      int threads = 0);
+struct ProjectionConstants
+{
+    explicit ProjectionConstants(const Camera &camera);
+
+    float view[3][4] = {};    //!< world-to-camera rows 0..2
+    float focal_x = 1.0f;
+    float focal_y = 1.0f;
+    float half_w_per_z = 0.0f; //!< 0.5 * width / focal_x (inFrustum)
+    float half_h_per_z = 0.0f; //!< 0.5 * height / focal_y
+    float center_x = 0.0f;     //!< 0.5 * width (toScreen)
+    float center_y = 0.0f;     //!< 0.5 * height
+    Vec3 eye;
+};
+
+/** projectBlock output: one SoA row per projected field. */
+struct ProjectedLanes
+{
+    /**
+     * All-ones when inFrustum(g, camera) holds and projectGaussian(g, ...)
+     * returns a value; zero otherwise. The geometric fields of a zero
+     * lane are unspecified.
+     */
+    uint32_t visible[kProjectLanes];
+    float mean_x[kProjectLanes];
+    float mean_y[kProjectLanes];
+    float conic_a[kProjectLanes];
+    float conic_b[kProjectLanes];
+    float conic_c[kProjectLanes];
+    float radius[kProjectLanes];
+    float depth[kProjectLanes];
+    float red[kProjectLanes];
+    float green[kProjectLanes];
+    float blue[kProjectLanes];
+};
+
+/**
+ * Frustum-cull, project and SH-shade @p count <= kProjectLanes Gaussians
+ * (pipeline stages 1-2) in one branch-free loop over the block, written
+ * for the auto-vectorizer. Every visible lane equals the scalar reference
+ * (inFrustum, then projectGaussian) bit for bit — mean, conic, radius,
+ * depth and color — and the color of every lane below @p count equals
+ * shColor(g, camera.viewDirection(g.position)). Non-finite inputs take
+ * the reference's path too; only where a result is NaN may its sign and
+ * payload differ (IEEE 754 leaves them open, and the vectorized code may
+ * commute an operation or fold a negation). Opacity passes through
+ * unchanged and is not an output. Lanes at or past @p count are not
+ * visible.
+ */
+void projectBlock(const Gaussian *g, size_t count,
+                  const ProjectionConstants &k, ProjectedLanes &out);
 
 } // namespace neo
 

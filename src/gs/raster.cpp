@@ -154,16 +154,13 @@ namespace
 /**
  * Scalar Gaussian-major blend loop — the historical implementation, kept
  * behind RasterConfig::reference_path as the A/B baseline and as the
- * fallback when the frame has no SoA feature arrays or the subtile size
- * does not divide the tile size.
+ * fallback when the subtile size does not divide the tile size.
  */
 void
 blendReference(const BinnedFrame &frame, const RasterConfig &cfg,
                Image *image, RasterScratch &scr, RasterStats &stats,
                int px0, int py0, int w, int h, int subtiles)
 {
-    const bool soa = frame.hasFeatureArrays();
-
     std::vector<float> &transmittance = scr.transmittance;
     std::vector<Vec3> &accum = scr.accum;
     std::vector<uint8_t> &done = scr.done;
@@ -175,12 +172,10 @@ blendReference(const BinnedFrame &frame, const RasterConfig &cfg,
     for (size_t i = 0; i < scr.hit_slot.size() && live_pixels > 0; ++i) {
         const SubtileBitmap bm = scr.hit_bitmap[i];
         const int32_t slot = scr.hit_slot[i];
-        const ProjectedGaussian &pg = frame.features[slot];
-        const Vec2 mean = soa ? frame.mean2d[slot] : pg.mean2d;
-        const Vec3 conic = soa ? frame.conic[slot]
-                               : Vec3{pg.conic_a, pg.conic_b, pg.conic_c};
-        const float opacity = soa ? frame.opacity[slot] : pg.opacity;
-        const Vec3 color = soa ? frame.color[slot] : pg.color;
+        const Vec2 mean = frame.mean2d[slot];
+        const Vec3 conic = frame.conic[slot];
+        const float opacity = frame.opacity[slot];
+        const Vec3 color = frame.color[slot];
         for (int y = 0; y < h; ++y) {
             int sub_y = y / cfg.subtile_size;
             for (int x = 0; x < w; ++x) {
@@ -667,10 +662,6 @@ rasterizeTile(const std::vector<TileEntry> &entries, const BinnedFrame &frame,
     RasterScratch local;
     RasterScratch &scr = scratch ? *scratch : local;
 
-    // SoA footprint arrays when in sync (always, for binFrame output);
-    // fall back to the AoS feature records otherwise.
-    const bool soa = frame.hasFeatureArrays();
-
     // Phase 1 (ITU): subtile bitmaps and valid bits. The entries that hit
     // at least one subtile are compacted, in entry order, into the hit
     // list (feature slot + bitmap) both blend paths read, so no entry's
@@ -688,11 +679,11 @@ rasterizeTile(const std::vector<TileEntry> &entries, const BinnedFrame &frame,
     scr.hit_bitmap.resize(n);
     uint32_t hits = 0;
     for (size_t i = 0; i < n; ++i) {
-        if (soa && i + 2 * kAhead < n &&
+        if (i + 2 * kAhead < n &&
             entries[i + 2 * kAhead].id < frame.feature_of_id.size())
             __builtin_prefetch(
                 &frame.feature_of_id[entries[i + 2 * kAhead].id]);
-        if (soa && i + kAhead < n &&
+        if (i + kAhead < n &&
             frame.isVisible(entries[i + kAhead].id)) {
             const int32_t ahead = frame.slotOf(entries[i + kAhead].id);
             __builtin_prefetch(&frame.mean2d[ahead]);
@@ -704,11 +695,8 @@ rasterizeTile(const std::vector<TileEntry> &entries, const BinnedFrame &frame,
         if (!entries[i].valid || !frame.isVisible(entries[i].id))
             continue;
         const int32_t slot = frame.slotOf(entries[i].id);
-        const Vec2 mean = soa ? frame.mean2d[slot]
-                              : frame.features[slot].mean2d;
-        const float radius = soa ? frame.radius_px[slot]
-                                 : frame.features[slot].radius_px;
-        const SubtileBitmap bm = subtileBitmap(mean, radius, origin,
+        const SubtileBitmap bm = subtileBitmap(frame.mean2d[slot],
+                                               frame.radius_px[slot], origin,
                                                tile_size, cfg.subtile_size);
         stats.intersection_tests +=
             static_cast<uint64_t>(subtiles) * subtiles;
@@ -737,7 +725,7 @@ rasterizeTile(const std::vector<TileEntry> &entries, const BinnedFrame &frame,
     if (w <= 0 || h <= 0)
         return stats;
 
-    const bool blocked = soa && !cfg.reference_path &&
+    const bool blocked = !cfg.reference_path &&
                          tile_size % cfg.subtile_size == 0;
     // blendBlocked returns false only when its integrity fence caught a
     // corrupted CSR (before any pixel write); the reference blend then
@@ -767,7 +755,6 @@ estimateTileBlendOps(const std::vector<TileEntry> &entries,
     // that are still live; the mean alpha over a Gaussian footprint is
     // opacity * E[falloff] with E[falloff] ~= 0.45 for a 3-sigma splat.
     constexpr double kMeanFalloff = 0.45;
-    const bool soa = frame.hasFeatureArrays();
     double transmittance = 1.0;
     double blend_ops = 0.0;
     for (const TileEntry &e : entries) {
@@ -776,12 +763,10 @@ estimateTileBlendOps(const std::vector<TileEntry> &entries,
         if (!e.valid || !frame.isVisible(e.id))
             continue;
         const int32_t slot = frame.slotOf(e.id);
-        const float opacity =
-            soa ? frame.opacity[slot] : frame.features[slot].opacity;
-        SubtileBitmap bm = subtileBitmap(
-            soa ? frame.mean2d[slot] : frame.features[slot].mean2d,
-            soa ? frame.radius_px[slot] : frame.features[slot].radius_px,
-            origin, tile_size, cfg.subtile_size);
+        const float opacity = frame.opacity[slot];
+        SubtileBitmap bm =
+            subtileBitmap(frame.mean2d[slot], frame.radius_px[slot], origin,
+                          tile_size, cfg.subtile_size);
         if (!bm)
             continue;
         double coverage =

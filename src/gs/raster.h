@@ -283,9 +283,8 @@ struct RasterScratch
  *
  * Blend order is per pixel, front to back in entry order; the blocked and
  * reference paths produce bit-identical pixels and stats (see file
- * comment). The blocked kernel requires the frame's SoA feature arrays
- * and a subtile size dividing the tile size; otherwise the call falls
- * back to the reference loop.
+ * comment). The blocked kernel requires a subtile size dividing the tile
+ * size; otherwise the call falls back to the reference loop.
  *
  * @param entries depth-sorted tile entries (front to back)
  * @param frame binned frame carrying the feature table

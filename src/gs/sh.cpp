@@ -5,33 +5,19 @@
 namespace neo
 {
 
-namespace
-{
-// Real SH constants for bands 0-2.
-constexpr float kC0 = 0.28209479177387814f;
-constexpr float kC1 = 0.4886025119029199f;
-constexpr float kC2[5] = {
-    1.0925484305920792f,
-    -1.0925484305920792f,
-    0.31539156525252005f,
-    -1.0925484305920792f,
-    0.5462742152960396f,
-};
-} // namespace
-
 void
 shBasis(const Vec3 &dir, float basis[kShCoeffsPerChannel])
 {
     const float x = dir.x, y = dir.y, z = dir.z;
-    basis[0] = kC0;
-    basis[1] = -kC1 * y;
-    basis[2] = kC1 * z;
-    basis[3] = -kC1 * x;
-    basis[4] = kC2[0] * x * y;
-    basis[5] = kC2[1] * y * z;
-    basis[6] = kC2[2] * (2.0f * z * z - x * x - y * y);
-    basis[7] = kC2[3] * x * z;
-    basis[8] = kC2[4] * (x * x - y * y);
+    basis[0] = kShC0;
+    basis[1] = -kShC1 * y;
+    basis[2] = kShC1 * z;
+    basis[3] = -kShC1 * x;
+    basis[4] = kShC2[0] * x * y;
+    basis[5] = kShC2[1] * y * z;
+    basis[6] = kShC2[2] * (2.0f * z * z - x * x - y * y);
+    basis[7] = kShC2[3] * x * z;
+    basis[8] = kShC2[4] * (x * x - y * y);
 }
 
 Vec3
@@ -55,10 +41,10 @@ void
 setShFromColor(Gaussian &g, const Vec3 &base, float directional,
                const Vec3 &dir_seed)
 {
-    // Invert the DC convention: channel = 0.5 + sh[0] * kC0.
-    g.sh[0][0] = (base.x - 0.5f) / kC0;
-    g.sh[1][0] = (base.y - 0.5f) / kC0;
-    g.sh[2][0] = (base.z - 0.5f) / kC0;
+    // Invert the DC convention: channel = 0.5 + sh[0] * kShC0.
+    g.sh[0][0] = (base.x - 0.5f) / kShC0;
+    g.sh[1][0] = (base.y - 0.5f) / kShC0;
+    g.sh[2][0] = (base.z - 0.5f) / kShC0;
     for (int c = 0; c < 3; ++c)
         for (int i = 1; i < kShCoeffsPerChannel; ++i)
             g.sh[c][i] = 0.0f;

@@ -14,6 +14,18 @@
 namespace neo
 {
 
+// Real SH basis constants for bands 0-2, shared by shBasis and the SIMD
+// projection kernel (which must evaluate the identical basis).
+constexpr float kShC0 = 0.28209479177387814f;
+constexpr float kShC1 = 0.4886025119029199f;
+constexpr float kShC2[5] = {
+    1.0925484305920792f,
+    -1.0925484305920792f,
+    0.31539156525252005f,
+    -1.0925484305920792f,
+    0.5462742152960396f,
+};
+
 /**
  * Evaluate the 9 degree<=2 real SH basis functions for unit direction
  * @p dir into @p basis (size kShCoeffsPerChannel).

@@ -4,30 +4,28 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/frame_arena.h"
 #include "common/parallel.h"
-#include "gs/culling.h"
 #include "gs/projection.h"
 
 namespace neo
 {
 
 TileRect
-tileRectOf(const ProjectedGaussian &pg, const TileGrid &grid)
+tileRectOf(Vec2 mean2d, float radius_px, const TileGrid &grid)
 {
     TileRect r;
-    const float radius = pg.radius_px;
+    const float radius = radius_px;
     int x0 = static_cast<int>(
-        std::floor((pg.mean2d.x - radius) / grid.tile_size));
+        std::floor((mean2d.x - radius) / grid.tile_size));
     int y0 = static_cast<int>(
-        std::floor((pg.mean2d.y - radius) / grid.tile_size));
+        std::floor((mean2d.y - radius) / grid.tile_size));
     int x1 = static_cast<int>(
-        std::floor((pg.mean2d.x + radius) / grid.tile_size));
+        std::floor((mean2d.x + radius) / grid.tile_size));
     int y1 = static_cast<int>(
-        std::floor((pg.mean2d.y + radius) / grid.tile_size));
+        std::floor((mean2d.y + radius) / grid.tile_size));
     r.x0 = std::max(x0, 0);
     r.y0 = std::max(y0, 0);
     r.x1 = std::min(x1, grid.tiles_x - 1);
@@ -49,31 +47,10 @@ BinnedFrame::meanTileLength() const
     return nonempty ? static_cast<double>(total) / nonempty : 0.0;
 }
 
-void
-BinnedFrame::rebuildFeatureArrays()
-{
-    mean2d.resize(features.size());
-    radius_px.resize(features.size());
-    depth.resize(features.size());
-    opacity.resize(features.size());
-    color.resize(features.size());
-    conic.resize(features.size());
-    for (size_t i = 0; i < features.size(); ++i) {
-        const ProjectedGaussian &pg = features[i];
-        mean2d[i] = pg.mean2d;
-        radius_px[i] = pg.radius_px;
-        depth[i] = pg.depth;
-        opacity[i] = pg.opacity;
-        color[i] = pg.color;
-        conic[i] = {pg.conic_a, pg.conic_b, pg.conic_c};
-    }
-}
-
 size_t
 BinnedFrame::capacityBytes() const
 {
-    size_t total = features.capacity() * sizeof(ProjectedGaussian) +
-                   feature_of_id.capacity() * sizeof(int32_t) +
+    size_t total = feature_of_id.capacity() * sizeof(int32_t) +
                    tiles.capacity() * sizeof(std::vector<TileEntry>) +
                    mean2d.capacity() * sizeof(Vec2) +
                    (color.capacity() + conic.capacity()) * sizeof(Vec3) +
@@ -88,14 +65,22 @@ BinnedFrame::capacityBytes() const
 namespace
 {
 
-/** Arena keys of the scatter scratch (see kArenaKeysBinning). */
+/** Arena keys of the binning scratch (see kArenaKeysBinning). */
 enum : int
 {
-    kKeyProjected = kArenaKeysBinning + 0, //!< id-indexed projection slots
-    kKeyRects = kArenaKeysBinning + 1,     //!< id-indexed tile rectangles
-    kKeyCursors = kArenaKeysBinning + 2,   //!< chunks x tiles counts/cursors
+    kKeyIds = kArenaKeysBinning + 0,     //!< provisional slot -> id
+    kKeyRects = kArenaKeysBinning + 1,   //!< provisional slot -> tile rect
+    kKeyCursors = kArenaKeysBinning + 2, //!< chunks x tiles counts/cursors
     kKeyFeatureBase = kArenaKeysBinning + 3, //!< per-chunk feature offsets
 };
+
+/** Move @p count elements of @p v from @p from down to @p to (to <= from). */
+template <typename T>
+void
+moveDown(std::vector<T> &v, size_t from, size_t to, size_t count)
+{
+    std::copy(v.begin() + from, v.begin() + from + count, v.begin() + to);
+}
 
 } // namespace
 
@@ -121,49 +106,72 @@ binFrameInto(BinnedFrame &out, FrameArena &arena, const GaussianScene &scene,
     out.feature_of_id.assign(n, -1);
     out.instances = 0;
 
-    // Stages 1-2 (culling + projection + SH) are per-Gaussian pure
-    // functions; run them in parallel into id-indexed slots.
-    auto &projected =
-        arena.buffer<std::optional<ProjectedGaussian>>(kKeyProjected);
-    projectSceneInto(projected, scene, camera, t);
-
-    // Duplication runs as a two-phase per-chunk scatter. Each chunk owns a
-    // contiguous ascending id range, so concatenating the chunks' tile
-    // contributions in chunk order reproduces the historical serial
-    // ascending-id pass bit for bit.
+    // Each chunk owns a contiguous ascending id range and at most as many
+    // feature slots as ids, so it writes its features from the provisional
+    // base `begin`; the serial pass below moves them down into place.
     const size_t chunks = parallelChunkCount(n, t);
+    auto provisional = [&](size_t chunk) {
+        return parallelChunkRange(n, chunks, chunk).begin;
+    };
+    auto &ids = arena.buffer<GaussianId>(kKeyIds);
+    ids.resize(n);
     auto &rects = arena.buffer<TileRect>(kKeyRects);
     rects.resize(n);
     auto &cursors = arena.buffer<uint32_t>(kKeyCursors);
     cursors.assign(chunks * tile_count, 0);
     auto &feature_base = arena.buffer<uint32_t>(kKeyFeatureBase);
     feature_base.assign(chunks + 1, 0);
+    out.mean2d.resize(n);
+    out.radius_px.resize(n);
+    out.depth.resize(n);
+    out.opacity.resize(n);
+    out.color.resize(n);
+    out.conic.resize(n);
 
-    // Phase 1: each chunk computes its Gaussians' tile rectangles and
-    // counts its per-tile instances and visible features. (If this runs
+    // Pass 1 (stages 1-2 plus the duplication count): project a SIMD
+    // block, then per visible lane compute the tile rectangle, write the
+    // features and count the chunk's per-tile instances. (If this runs
     // nested inside another parallel region the whole range lands in
-    // chunk 0; the other rows stay zero, which the prefix pass handles.)
+    // chunk 0, whose provisional base is 0 either way; the other rows stay
+    // zero, which the prefix pass handles.)
+    const ProjectionConstants k(camera);
     parallelFor(n, t, [&](size_t begin, size_t end, size_t chunk) {
         uint32_t *counts = cursors.data() + chunk * tile_count;
-        uint32_t features = 0;
-        for (size_t id = begin; id < end; ++id) {
-            if (!projected[id])
-                continue;
-            const TileRect rect = tileRectOf(projected[id].value(), out.grid);
-            rects[id] = rect;
-            if (rect.empty())
-                continue;
-            ++features;
-            for (int ty = rect.y0; ty <= rect.y1; ++ty)
-                for (int tx = rect.x0; tx <= rect.x1; ++tx)
-                    ++counts[out.grid.tileIndex(tx, ty)];
+        size_t slot = begin;
+        ProjectedLanes lanes;
+        for (size_t block = begin; block < end; block += kProjectLanes) {
+            const size_t count = std::min(kProjectLanes, end - block);
+            projectBlock(&scene[block], count, k, lanes);
+            for (size_t i = 0; i < count; ++i) {
+                if (!lanes.visible[i])
+                    continue;
+                const Vec2 mean{lanes.mean_x[i], lanes.mean_y[i]};
+                const TileRect rect =
+                    tileRectOf(mean, lanes.radius[i], out.grid);
+                if (rect.empty())
+                    continue;
+                ids[slot] = static_cast<GaussianId>(block + i);
+                rects[slot] = rect;
+                out.mean2d[slot] = mean;
+                out.radius_px[slot] = lanes.radius[i];
+                out.depth[slot] = lanes.depth[i];
+                out.opacity[slot] = scene[block + i].opacity;
+                out.color[slot] = {lanes.red[i], lanes.green[i],
+                                   lanes.blue[i]};
+                out.conic[slot] = {lanes.conic_a[i], lanes.conic_b[i],
+                                   lanes.conic_c[i]};
+                ++slot;
+                for (int ty = rect.y0; ty <= rect.y1; ++ty)
+                    for (int tx = rect.x0; tx <= rect.x1; ++tx)
+                        ++counts[out.grid.tileIndex(tx, ty)];
+            }
         }
-        feature_base[chunk + 1] = features;
+        feature_base[chunk + 1] = static_cast<uint32_t>(slot - begin);
     });
 
     // Prefix pass: turn the per-chunk counts into per-chunk write cursors
-    // (chunk-order concatenation within each tile) and size every output
-    // structure exactly.
+    // (chunk-order concatenation within each tile), size every tile list
+    // exactly, and move each chunk's features down to its final slots.
     uint64_t instances = 0;
     for (size_t tile = 0; tile < tile_count; ++tile) {
         uint32_t offset = 0;
@@ -176,10 +184,20 @@ binFrameInto(BinnedFrame &out, FrameArena &arena, const GaussianScene &scene,
         instances += offset;
     }
     out.instances = instances;
-    for (size_t c = 0; c < chunks; ++c)
+    for (size_t c = 0; c < chunks; ++c) {
+        const size_t count = feature_base[c + 1];
         feature_base[c + 1] += feature_base[c];
+        const size_t from = provisional(c), to = feature_base[c];
+        if (from == to || count == 0)
+            continue;
+        moveDown(out.mean2d, from, to, count);
+        moveDown(out.radius_px, from, to, count);
+        moveDown(out.depth, from, to, count);
+        moveDown(out.opacity, from, to, count);
+        moveDown(out.color, from, to, count);
+        moveDown(out.conic, from, to, count);
+    }
     const size_t visible = feature_base[chunks];
-    out.features.resize(visible);
     out.mean2d.resize(visible);
     out.radius_px.resize(visible);
     out.depth.resize(visible);
@@ -187,34 +205,26 @@ binFrameInto(BinnedFrame &out, FrameArena &arena, const GaussianScene &scene,
     out.color.resize(visible);
     out.conic.resize(visible);
 
-    // Phase 2: scatter. Chunks write disjoint feature slots and disjoint
-    // index ranges of each tile list, so the parallel writes are race-free
-    // and land exactly where the serial pass would have put them.
-    parallelFor(n, t, [&](size_t begin, size_t end, size_t chunk) {
+    // Pass 2: scatter. Chunks write disjoint feature_of_id entries and
+    // disjoint index ranges of each tile list, so the parallel writes are
+    // race-free and land exactly where a serial ascending-id pass would
+    // put them.
+    parallelFor(n, t, [&](size_t, size_t, size_t chunk) {
         uint32_t *cursor = cursors.data() + chunk * tile_count;
-        uint32_t slot = feature_base[chunk];
-        for (size_t id = begin; id < end; ++id) {
-            if (!projected[id])
-                continue;
-            const TileRect &rect = rects[id];
-            if (rect.empty())
-                continue;
-            const ProjectedGaussian &pg = projected[id].value();
+        const size_t count = feature_base[chunk + 1] - feature_base[chunk];
+        const size_t first = provisional(chunk);
+        for (size_t j = 0; j < count; ++j) {
+            const size_t from = first + j;
+            const size_t slot = feature_base[chunk] + j;
+            const GaussianId id = ids[from];
+            const TileRect &rect = rects[from];
+            const float depth = out.depth[slot];
             out.feature_of_id[id] = static_cast<int32_t>(slot);
-            out.features[slot] = pg;
-            out.mean2d[slot] = pg.mean2d;
-            out.radius_px[slot] = pg.radius_px;
-            out.depth[slot] = pg.depth;
-            out.opacity[slot] = pg.opacity;
-            out.color[slot] = pg.color;
-            out.conic[slot] = {pg.conic_a, pg.conic_b, pg.conic_c};
-            ++slot;
             for (int ty = rect.y0; ty <= rect.y1; ++ty)
                 for (int tx = rect.x0; tx <= rect.x1; ++tx) {
                     const int tile = out.grid.tileIndex(tx, ty);
                     out.tiles[tile][cursor[tile]++] =
-                        TileEntry{static_cast<GaussianId>(id), pg.depth,
-                                  true};
+                        TileEntry{id, depth, true};
                 }
         }
     });

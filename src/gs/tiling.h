@@ -122,27 +122,37 @@ struct TileRect
     }
 };
 
-/** Compute the clamped tile rectangle touched by @p pg. */
-TileRect tileRectOf(const ProjectedGaussian &pg, const TileGrid &grid);
+/**
+ * Clamped tile rectangle touched by a footprint of radius @p radius_px
+ * centered at @p mean2d.
+ */
+TileRect tileRectOf(Vec2 mean2d, float radius_px, const TileGrid &grid);
+
+/** Clamped tile rectangle touched by @p pg. */
+inline TileRect
+tileRectOf(const ProjectedGaussian &pg, const TileGrid &grid)
+{
+    return tileRectOf(pg.mean2d, pg.radius_px, grid);
+}
 
 /** Result of binning one frame. */
 struct BinnedFrame
 {
     TileGrid grid;
-    /** Projected features of all visible Gaussians this frame. */
-    FeatureTable features;
-    /** Map GaussianId -> index into features (-1 when not visible). */
+    /**
+     * Map GaussianId -> feature slot (-1 when not visible). Slots run in
+     * ascending id order.
+     */
     std::vector<int32_t> feature_of_id;
     /** Per-tile (id, depth) lists, unsorted. */
     std::vector<std::vector<TileEntry>> tiles;
     /** Total duplicated instances (= sum of tile list lengths). */
     uint64_t instances = 0;
 
-    // SoA mirrors of the hot feature fields, indexed by feature slot
-    // (same index as `features`). The intersection-test, depth-refresh and
-    // blend loops stream these small contiguous arrays instead of pulling
-    // whole ProjectedGaussian records through the cache. Kept in sync by
-    // binFrame(); call rebuildFeatureArrays() after mutating `features`.
+    // The feature table of the frame's visible Gaussians, one array per
+    // field, indexed by feature slot: the projection pass writes it and
+    // the intersection-test, depth-refresh and blend loops stream the
+    // small contiguous arrays they need.
     std::vector<Vec2> mean2d;     //!< screen-space centers
     std::vector<float> radius_px; //!< 3-sigma screen radii
     std::vector<float> depth;     //!< camera-space depths
@@ -150,10 +160,8 @@ struct BinnedFrame
     std::vector<Vec3> color;      //!< view-dependent RGB from SH
     std::vector<Vec3> conic;      //!< inverse-covariance (a, b, c)
 
-    const ProjectedGaussian &featureOf(GaussianId id) const
-    {
-        return features[feature_of_id[id]];
-    }
+    /** Number of visible Gaussians (feature slots). */
+    size_t visibleCount() const { return mean2d.size(); }
 
     /** Feature slot of @p id; only valid when isVisible(id). */
     int32_t slotOf(GaussianId id) const { return feature_of_id[id]; }
@@ -162,20 +170,6 @@ struct BinnedFrame
     {
         return id < feature_of_id.size() && feature_of_id[id] >= 0;
     }
-
-    /** True when the SoA arrays match `features` (hot paths require it). */
-    bool hasFeatureArrays() const
-    {
-        return mean2d.size() == features.size() &&
-               radius_px.size() == features.size() &&
-               depth.size() == features.size() &&
-               opacity.size() == features.size() &&
-               color.size() == features.size() &&
-               conic.size() == features.size();
-    }
-
-    /** Regenerate the SoA arrays from `features`. */
-    void rebuildFeatureArrays();
 
     /** Mean tile-list length over non-empty tiles. */
     double meanTileLength() const;
@@ -191,13 +185,14 @@ struct BinnedFrame
 class FrameArena;
 
 /**
- * Run culling + feature extraction + duplication for one frame. Culling,
- * projection and SH evaluation run per-Gaussian in parallel; the
- * duplication scatter runs as per-chunk local binning (each worker counts
- * and then scatters its contiguous id range) with a deterministic
- * per-tile concatenation in chunk order, so every tile list comes out in
- * ascending id order — bit-identical to the historical serial pass for
- * any thread count.
+ * Run culling + feature extraction + duplication for one frame. One
+ * parallel pass per contiguous id chunk runs culling, projection and SH
+ * evaluation a SIMD block at a time (projectBlock), writes each visible
+ * Gaussian's features straight into the SoA table and counts its tile
+ * instances; a serial prefix then places every chunk's features and
+ * tile-list ranges in chunk order, and a second parallel pass scatters
+ * the tile entries. Feature slots and every tile list come out in
+ * ascending id order, bit-identical for any thread count.
  *
  * @param scene the scene
  * @param camera viewing camera
@@ -209,7 +204,7 @@ BinnedFrame binFrame(const GaussianScene &scene, const Camera &camera,
                      int tile_px, int threads = 0);
 
 /**
- * binFrame into caller-owned storage: @p out and the scatter scratch in
+ * binFrame into caller-owned storage: @p out and the binning scratch in
  * @p arena are cleared and refilled with capacity retained, so a warm
  * steady-state loop re-bins without any per-frame heap allocation.
  * Results are bit-identical to binFrame for any thread count.

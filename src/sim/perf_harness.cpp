@@ -226,9 +226,9 @@ sweepRenderThreadsStaged(const GaussianScene &scene,
                 integrity.verifyTiles(IntegrityStage::Binning,
                                       kIntegrityBinTiles, frame.tiles);
                 // Projection fences over the feature SoA arrays (filled
-                // by the binning scatter) — same placement as the
-                // NeoRenderer frame loop, inside the timed bin section
-                // so check-mode overhead stays honestly measured.
+                // by the projection pass of binning) — same placement as
+                // the NeoRenderer frame loop, inside the timed bin
+                // section so check-mode overhead stays honestly measured.
                 integrity.sealSpan(IntegrityStage::Projection,
                                    kIntegrityProjMean2d, frame.mean2d);
                 integrity.sealSpan(IntegrityStage::Projection,

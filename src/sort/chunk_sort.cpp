@@ -30,7 +30,7 @@ SortCoreStats::operator+=(const SortCoreStats &o)
 
 void
 sortChunk(std::vector<TileEntry> &entries, size_t first, size_t count,
-          SortCoreStats *stats)
+          SortCoreStats *stats, std::vector<TileEntry> *scratch)
 {
     if (count == 0)
         return;
@@ -40,7 +40,7 @@ sortChunk(std::vector<TileEntry> &entries, size_t first, size_t count,
     BsuStats *bsu = stats ? &stats->bsu : nullptr;
     MsuStats *msu = stats ? &stats->msu : nullptr;
     bsuSortRuns(entries, first, count, bsu);
-    msuMergeRuns(entries, first, count, kBsuWidth, msu);
+    msuMergeRuns(entries, first, count, kBsuWidth, msu, 1, scratch);
     if (stats) {
         ++stats->chunk_loads;
         ++stats->chunk_stores;
@@ -51,7 +51,7 @@ sortChunk(std::vector<TileEntry> &entries, size_t first, size_t count,
 
 void
 fullSortTable(std::vector<TileEntry> &table, SortCoreStats *stats,
-              int threads)
+              int threads, std::vector<TileEntry> *scratch)
 {
     const size_t n = table.size();
     if (n == 0)
@@ -76,7 +76,8 @@ fullSortTable(std::vector<TileEntry> &table, SortCoreStats *stats,
                 *stats += s;
     } else {
         for (size_t first = 0; first < n; first += kChunkSize)
-            sortChunk(table, first, std::min(kChunkSize, n - first), stats);
+            sortChunk(table, first, std::min(kChunkSize, n - first), stats,
+                      scratch);
     }
 
     if (chunks > 1) {
@@ -84,7 +85,7 @@ fullSortTable(std::vector<TileEntry> &table, SortCoreStats *stats,
         // hardware streams the table through the MSU+ log2(chunks) times,
         // so cost that many extra off-chip passes.
         MsuStats *msu = stats ? &stats->msu : nullptr;
-        msuMergeRuns(table, 0, n, kChunkSize, msu, threads);
+        msuMergeRuns(table, 0, n, kChunkSize, msu, threads, scratch);
         size_t passes = 0;
         for (size_t c = 1; c < chunks; c <<= 1)
             ++passes;

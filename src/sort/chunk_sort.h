@@ -50,10 +50,11 @@ struct SortCoreStats
 /**
  * Sort one chunk of @p entries in place (the [first, first+count) slice,
  * count <= kChunkSize) using the BSU + MSU pipeline. Counts one chunk load
- * and one chunk store.
+ * and one chunk store. @p scratch as in msuMergeRuns.
  */
 void sortChunk(std::vector<TileEntry> &entries, size_t first, size_t count,
-               SortCoreStats *stats = nullptr);
+               SortCoreStats *stats = nullptr,
+               std::vector<TileEntry> *scratch = nullptr);
 
 /**
  * Conventional full sort of an entire tile table: chunk-sort every chunk,
@@ -64,10 +65,11 @@ void sortChunk(std::vector<TileEntry> &entries, size_t first, size_t count,
  * With @p threads > 1, long tables split across workers: the independent
  * 256-entry chunk sorts fan out over the pool, and the global merge runs
  * the parallel MSU+ merge tree (msuMergeRuns). Results and counters are
- * bit-identical for any thread count.
+ * bit-identical for any thread count. @p scratch as in msuMergeRuns.
  */
 void fullSortTable(std::vector<TileEntry> &table,
-                   SortCoreStats *stats = nullptr, int threads = 1);
+                   SortCoreStats *stats = nullptr, int threads = 1,
+                   std::vector<TileEntry> *scratch = nullptr);
 
 } // namespace neo
 

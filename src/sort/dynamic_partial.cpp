@@ -18,33 +18,17 @@ dynamicPartialBoundaries(size_t len, uint64_t frame_index,
                          const DynamicPartialConfig &cfg)
 {
     std::vector<std::pair<size_t, size_t>> out;
-    if (len == 0 || cfg.chunk == 0)
-        return out;
-
-    // Odd frames (and non-interleaved mode) use the natural grid
-    // [0,C), [C,2C), ...; even frames shift by C/2 so the first chunk is a
-    // half-chunk and Gaussians can cross the odd-frame boundaries.
-    // (Algorithm 1 expresses this by initializing range.end to C or C/2;
-    // we advance each range to the previous end, which is the behaviour
-    // Fig. 9 depicts.)
-    const bool shifted = cfg.interleave && (frame_index % 2 == 0);
-    size_t start = 0;
-    size_t end = shifted ? std::min(cfg.chunk / 2, len)
-                         : std::min(cfg.chunk, len);
-    for (;;) {
-        if (end > start)
-            out.emplace_back(start, end);
-        if (end >= len)
-            break;
-        start = end;
-        end = std::min(start + cfg.chunk, len);
-    }
+    forEachDynamicPartialRange(len, frame_index, cfg,
+                               [&](size_t start, size_t end) {
+                                   out.emplace_back(start, end);
+                               });
     return out;
 }
 
 void
 dynamicPartialSort(std::vector<TileEntry> &table, uint64_t frame_index,
-                   const DynamicPartialConfig &cfg, SortCoreStats *stats)
+                   const DynamicPartialConfig &cfg, SortCoreStats *stats,
+                   std::vector<TileEntry> *scratch)
 {
     if (cfg.passes < 1)
         panic("dynamicPartialSort: passes must be >= 1");
@@ -52,10 +36,11 @@ dynamicPartialSort(std::vector<TileEntry> &table, uint64_t frame_index,
         // Alternate the boundary phase across passes as well, otherwise
         // additional passes within a frame could not move entries across
         // the same fixed boundaries.
-        auto ranges = dynamicPartialBoundaries(
-            table.size(), frame_index + static_cast<uint64_t>(pass), cfg);
-        for (auto [start, end] : ranges)
-            sortChunk(table, start, end - start, stats);
+        forEachDynamicPartialRange(
+            table.size(), frame_index + static_cast<uint64_t>(pass), cfg,
+            [&](size_t start, size_t end) {
+                sortChunk(table, start, end - start, stats, scratch);
+            });
     }
 }
 

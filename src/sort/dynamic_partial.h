@@ -13,6 +13,7 @@
 #ifndef NEO_SORT_DYNAMIC_PARTIAL_H
 #define NEO_SORT_DYNAMIC_PARTIAL_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -48,16 +49,49 @@ dynamicPartialBoundaries(size_t len, uint64_t frame_index,
                          const DynamicPartialConfig &cfg);
 
 /**
+ * Call @p fn(start, end) for each range dynamicPartialBoundaries returns,
+ * in order, without materializing the list.
+ */
+template <typename Fn>
+void
+forEachDynamicPartialRange(size_t len, uint64_t frame_index,
+                           const DynamicPartialConfig &cfg, Fn &&fn)
+{
+    if (len == 0 || cfg.chunk == 0)
+        return;
+    // Odd frames (and non-interleaved mode) use the natural grid
+    // [0,C), [C,2C), ...; even frames shift by C/2 so the first chunk is a
+    // half-chunk and Gaussians can cross the odd-frame boundaries.
+    // (Algorithm 1 expresses this by initializing range.end to C or C/2;
+    // we advance each range to the previous end, which is the behaviour
+    // Fig. 9 depicts.)
+    const bool shifted = cfg.interleave && (frame_index % 2 == 0);
+    size_t start = 0;
+    size_t end = shifted ? std::min(cfg.chunk / 2, len)
+                         : std::min(cfg.chunk, len);
+    for (;;) {
+        if (end > start)
+            fn(start, end);
+        if (end >= len)
+            break;
+        start = end;
+        end = std::min(start + cfg.chunk, len);
+    }
+}
+
+/**
  * Run Dynamic Partial Sorting on @p table in place.
  *
  * @param table previous frame's table with refreshed depth values
  * @param frame_index current frame number (selects boundary phase)
  * @param cfg tunables
  * @param stats optional hardware counters (chunk loads/stores, BSU/MSU ops)
+ * @param scratch merge staging buffer, as in msuMergeRuns
  */
 void dynamicPartialSort(std::vector<TileEntry> &table, uint64_t frame_index,
                         const DynamicPartialConfig &cfg = {},
-                        SortCoreStats *stats = nullptr);
+                        SortCoreStats *stats = nullptr,
+                        std::vector<TileEntry> *scratch = nullptr);
 
 /**
  * Sortedness metric: fraction of adjacent pairs in depth order. 1.0 for a

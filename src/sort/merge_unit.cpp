@@ -237,12 +237,14 @@ msuMerge(const std::vector<TileEntry> &a, const std::vector<TileEntry> &b,
 
 int
 msuMergeRuns(std::vector<TileEntry> &entries, size_t first, size_t count,
-             size_t run, MsuStats *stats, int threads)
+             size_t run, MsuStats *stats, int threads,
+             std::vector<TileEntry> *scratch_in)
 {
     if (count <= 1)
         return 0;
     int passes = 0;
-    std::vector<TileEntry> scratch;
+    std::vector<TileEntry> local;
+    std::vector<TileEntry> &scratch = scratch_in ? *scratch_in : local;
     scratch.reserve(count);
     while (run < count) {
         ++passes;

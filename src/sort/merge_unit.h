@@ -85,10 +85,14 @@ void msuMerge(const std::vector<TileEntry> &a, const std::vector<TileEntry> &b,
  * (they write disjoint ranges; the tree shape is fixed by (count, run)
  * alone, so results and counters never depend on the thread count).
  *
+ * @param scratch merge staging buffer of the serial passes; callers in a
+ *        steady-state frame loop pass one that persists across frames so
+ *        the merge allocates nothing once warm (nullptr: a local buffer)
  * @return number of merge passes executed (for cycle accounting).
  */
 int msuMergeRuns(std::vector<TileEntry> &entries, size_t first, size_t count,
-                 size_t run, MsuStats *stats = nullptr, int threads = 1);
+                 size_t run, MsuStats *stats = nullptr, int threads = 1,
+                 std::vector<TileEntry> *scratch = nullptr);
 
 /**
  * The full MSU+ reuse-and-update step for one tile: stream the (sorted,

@@ -134,16 +134,19 @@ expectEqualBinned(const BinnedFrame &a, const BinnedFrame &b)
     EXPECT_EQ(a.grid.tiles_y, b.grid.tiles_y);
     EXPECT_EQ(a.instances, b.instances);
     EXPECT_EQ(a.feature_of_id, b.feature_of_id);
-    ASSERT_EQ(a.features.size(), b.features.size());
-    for (size_t i = 0; i < a.features.size(); ++i) {
-        EXPECT_EQ(a.features[i].id, b.features[i].id);
-        EXPECT_EQ(a.features[i].mean2d.x, b.features[i].mean2d.x);
-        EXPECT_EQ(a.features[i].mean2d.y, b.features[i].mean2d.y);
-        EXPECT_EQ(a.features[i].depth, b.features[i].depth);
-        EXPECT_EQ(a.features[i].radius_px, b.features[i].radius_px);
+    ASSERT_EQ(a.visibleCount(), b.visibleCount());
+    for (size_t i = 0; i < a.visibleCount(); ++i) {
         EXPECT_EQ(a.mean2d[i].x, b.mean2d[i].x);
+        EXPECT_EQ(a.mean2d[i].y, b.mean2d[i].y);
         EXPECT_EQ(a.depth[i], b.depth[i]);
         EXPECT_EQ(a.radius_px[i], b.radius_px[i]);
+        EXPECT_EQ(a.opacity[i], b.opacity[i]);
+        EXPECT_EQ(a.conic[i].x, b.conic[i].x);
+        EXPECT_EQ(a.conic[i].y, b.conic[i].y);
+        EXPECT_EQ(a.conic[i].z, b.conic[i].z);
+        EXPECT_EQ(a.color[i].x, b.color[i].x);
+        EXPECT_EQ(a.color[i].y, b.color[i].y);
+        EXPECT_EQ(a.color[i].z, b.color[i].z);
     }
     ASSERT_EQ(a.tiles.size(), b.tiles.size());
     for (size_t t = 0; t < a.tiles.size(); ++t) {
@@ -160,7 +163,7 @@ TEST(Determinism, ParallelBinningScatterBitIdentical)
 {
     // The per-chunk scatter with chunk-order concatenation must reproduce
     // the serial ascending-id pass exactly: features in id order, every
-    // tile list in ascending id order, SoA mirrors in sync.
+    // tile list in ascending id order.
     GaussianScene scene = test::tinySyntheticScene();
     Camera cam = test::frontCamera();
     for (int tile_px : {16, 64}) {

@@ -58,8 +58,8 @@ TEST(EdgeCaseTest, GaussianExactlyOnTileBorder)
     // The projected center lands at the image center = a tile corner for
     // 256x192 with 16-px tiles; the Gaussian must be binned into every
     // adjacent tile.
-    const ProjectedGaussian &pg = frame.features.at(0);
-    TileRect rect = tileRectOf(pg, frame.grid);
+    TileRect rect =
+        tileRectOf(frame.mean2d.at(0), frame.radius_px.at(0), frame.grid);
     EXPECT_GE(rect.count(), 4);
 }
 

@@ -186,5 +186,31 @@ TEST(ArenaReuseTest, SteadyStateBinRasterPathIsAllocationFree)
     }
 }
 
+TEST(ArenaReuseTest, NeoRendererWarmReusePathIsAllocationFree)
+{
+    // The served path: NeoRenderer::renderFrameInto with the reuse-update
+    // sorter (delta tracker, Dynamic Partial Sorting, MSU merge, deferred
+    // depth update) at a small served-workload shape, static camera.
+    GaussianScene scene = test::tinySyntheticScene(2000, 9);
+    Camera cam = test::frontCamera(5.0f, {160, 96, "tiny"});
+    for (int threads : {1, 2}) {
+        PipelineOptions opts = NeoRenderer::neoDefaultOptions();
+        opts.threads = threads;
+        NeoRenderer renderer(opts);
+        Image image;
+        uint64_t frame = 0;
+        renderer.renderFrameInto(image, scene, cam, frame++);
+        renderer.renderFrameInto(image, scene, cam, frame++);
+        renderer.renderFrameInto(image, scene, cam, frame++);
+        const uint64_t warm = g_news.load(std::memory_order_relaxed);
+        for (int f = 0; f < 8; ++f)
+            renderer.renderFrameInto(image, scene, cam, frame++);
+        const uint64_t after = g_news.load(std::memory_order_relaxed);
+        EXPECT_EQ(after - warm, 0u)
+            << "threads=" << threads << ": warm reuse-path frames allocated "
+            << (after - warm) << " times";
+    }
+}
+
 } // namespace
 } // namespace neo

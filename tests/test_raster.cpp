@@ -242,11 +242,11 @@ TEST(RasterizeTest, SingleGaussianColorsCenterPixel)
     BinnedFrame frame =
         singleGaussianFrame({0.0f, 0.0f, 0.0f}, 0.25f, 0.9f,
                             {1.0f, 0.0f, 0.0f});
-    ASSERT_EQ(frame.features.size(), 1u);
-    const ProjectedGaussian &pg = frame.features[0];
+    ASSERT_EQ(frame.visibleCount(), 1u);
+    const Vec2 mean2d = frame.mean2d[0];
     TileGrid grid = frame.grid;
-    int tx = static_cast<int>(pg.mean2d.x) / grid.tile_size;
-    int ty = static_cast<int>(pg.mean2d.y) / grid.tile_size;
+    int tx = static_cast<int>(mean2d.x) / grid.tile_size;
+    int ty = static_cast<int>(mean2d.y) / grid.tile_size;
     int tile = grid.tileIndex(tx, ty);
     ASSERT_FALSE(frame.tiles[tile].empty());
 
@@ -255,8 +255,8 @@ TEST(RasterizeTest, SingleGaussianColorsCenterPixel)
     RasterStats stats = rasterizeTile(frame.tiles[tile], frame, tile, cfg,
                                       &image);
     EXPECT_GT(stats.blend_ops, 0u);
-    Vec3 px = image.at(static_cast<int>(pg.mean2d.x),
-                       static_cast<int>(pg.mean2d.y));
+    Vec3 px = image.at(static_cast<int>(mean2d.x),
+                       static_cast<int>(mean2d.y));
     EXPECT_GT(px.x, 0.5f);
     EXPECT_LT(px.y, 0.1f);
 }
@@ -274,17 +274,17 @@ TEST(RasterizeTest, FrontGaussianOccludesBack)
     BinnedFrame frame = binFrame(scene, cam, 64);
 
     // Find the tile containing the screen center and sort it by depth.
-    const ProjectedGaussian &pg = frame.features[0];
+    const Vec2 mean2d = frame.mean2d[0];
     TileGrid grid = frame.grid;
-    int tile = grid.tileIndex(static_cast<int>(pg.mean2d.x) / grid.tile_size,
-                              static_cast<int>(pg.mean2d.y) / grid.tile_size);
+    int tile = grid.tileIndex(static_cast<int>(mean2d.x) / grid.tile_size,
+                              static_cast<int>(mean2d.y) / grid.tile_size);
     auto entries = frame.tiles[tile];
     std::sort(entries.begin(), entries.end(), entryDepthLess);
 
     Image image(grid.tiles_x * grid.tile_size, grid.tiles_y * grid.tile_size);
     rasterizeTile(entries, frame, tile, RasterConfig{}, &image);
-    Vec3 px = image.at(static_cast<int>(pg.mean2d.x),
-                       static_cast<int>(pg.mean2d.y));
+    Vec3 px = image.at(static_cast<int>(mean2d.x),
+                       static_cast<int>(mean2d.y));
     EXPECT_GT(px.x, 0.6f) << "front (red) should dominate";
     EXPECT_LT(px.z, 0.3f);
 
@@ -292,8 +292,8 @@ TEST(RasterizeTest, FrontGaussianOccludesBack)
     std::reverse(entries.begin(), entries.end());
     Image wrong(grid.tiles_x * grid.tile_size, grid.tiles_y * grid.tile_size);
     rasterizeTile(entries, frame, tile, RasterConfig{}, &wrong);
-    Vec3 wrong_px = wrong.at(static_cast<int>(pg.mean2d.x),
-                             static_cast<int>(pg.mean2d.y));
+    Vec3 wrong_px = wrong.at(static_cast<int>(mean2d.x),
+                             static_cast<int>(mean2d.y));
     EXPECT_GT(wrong_px.z, 0.6f) << "reversed order should show blue";
 }
 
@@ -302,10 +302,10 @@ TEST(RasterizeTest, InvalidEntriesAreSkipped)
     BinnedFrame frame =
         singleGaussianFrame({0.0f, 0.0f, 0.0f}, 0.25f, 0.9f,
                             {1.0f, 0.0f, 0.0f});
-    const ProjectedGaussian &pg = frame.features[0];
+    const Vec2 mean2d = frame.mean2d[0];
     TileGrid grid = frame.grid;
-    int tile = grid.tileIndex(static_cast<int>(pg.mean2d.x) / grid.tile_size,
-                              static_cast<int>(pg.mean2d.y) / grid.tile_size);
+    int tile = grid.tileIndex(static_cast<int>(mean2d.x) / grid.tile_size,
+                              static_cast<int>(mean2d.y) / grid.tile_size);
     auto entries = frame.tiles[tile];
     for (auto &e : entries)
         e.valid = false;
@@ -321,10 +321,10 @@ TEST(RasterizeTest, ValidOutReflectsIntersection)
     BinnedFrame frame =
         singleGaussianFrame({0.0f, 0.0f, 0.0f}, 0.25f, 0.9f,
                             {1.0f, 0.0f, 0.0f});
-    const ProjectedGaussian &pg = frame.features[0];
+    const Vec2 mean2d = frame.mean2d[0];
     TileGrid grid = frame.grid;
-    int tile = grid.tileIndex(static_cast<int>(pg.mean2d.x) / grid.tile_size,
-                              static_cast<int>(pg.mean2d.y) / grid.tile_size);
+    int tile = grid.tileIndex(static_cast<int>(mean2d.x) / grid.tile_size,
+                              static_cast<int>(mean2d.y) / grid.tile_size);
     std::vector<uint8_t> valid;
     rasterizeTile(frame.tiles[tile], frame, tile, RasterConfig{}, nullptr,
                   &valid);
@@ -351,10 +351,10 @@ TEST(RasterizeTest, OpaqueWallTerminatesEarly)
     recomputeBounds(scene);
     Camera cam = test::frontCamera(5.0f);
     BinnedFrame frame = binFrame(scene, cam, 64);
-    const ProjectedGaussian &pg = frame.features[0];
+    const Vec2 mean2d = frame.mean2d[0];
     TileGrid grid = frame.grid;
-    int tile = grid.tileIndex(static_cast<int>(pg.mean2d.x) / grid.tile_size,
-                              static_cast<int>(pg.mean2d.y) / grid.tile_size);
+    int tile = grid.tileIndex(static_cast<int>(mean2d.x) / grid.tile_size,
+                              static_cast<int>(mean2d.y) / grid.tile_size);
     auto entries = frame.tiles[tile];
     std::sort(entries.begin(), entries.end(), entryDepthLess);
     Image image(grid.tiles_x * grid.tile_size, grid.tiles_y * grid.tile_size);
@@ -813,10 +813,10 @@ TEST(RasterizeTest, DryRunDoesOnlyItuWork)
     BinnedFrame frame =
         singleGaussianFrame({0.0f, 0.0f, 0.0f}, 0.25f, 0.9f,
                             {1.0f, 0.0f, 0.0f});
-    const ProjectedGaussian &pg = frame.features[0];
+    const Vec2 mean2d = frame.mean2d[0];
     TileGrid grid = frame.grid;
-    int tile = grid.tileIndex(static_cast<int>(pg.mean2d.x) / grid.tile_size,
-                              static_cast<int>(pg.mean2d.y) / grid.tile_size);
+    int tile = grid.tileIndex(static_cast<int>(mean2d.x) / grid.tile_size,
+                              static_cast<int>(mean2d.y) / grid.tile_size);
     RasterStats stats = rasterizeTile(frame.tiles[tile], frame, tile,
                                       RasterConfig{}, nullptr);
     EXPECT_GT(stats.intersection_tests, 0u);

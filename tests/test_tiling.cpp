@@ -3,11 +3,19 @@
  * Unit tests for tile binning / duplication.
  */
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <optional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "gs/culling.h"
 #include "gs/projection.h"
 #include "gs/tiling.h"
 #include "test_util.h"
@@ -95,7 +103,7 @@ TEST(BinFrameTest, DuplicationAtLeastOneTilePerVisible)
     GaussianScene scene = test::blobScene(300);
     Camera cam = test::frontCamera(5.0f);
     BinnedFrame frame = binFrame(scene, cam, 16);
-    EXPECT_GE(frame.instances, frame.features.size());
+    EXPECT_GE(frame.instances, frame.visibleCount());
 }
 
 TEST(BinFrameTest, FeatureLookupIsConsistent)
@@ -103,11 +111,14 @@ TEST(BinFrameTest, FeatureLookupIsConsistent)
     GaussianScene scene = test::blobScene(100);
     Camera cam = test::frontCamera(5.0f);
     BinnedFrame frame = binFrame(scene, cam, 16);
+    // Visible ids own the slots 0, 1, ... in ascending id order.
+    int32_t next_slot = 0;
     for (GaussianId id = 0; id < scene.size(); ++id) {
         if (!frame.isVisible(id))
             continue;
-        EXPECT_EQ(frame.featureOf(id).id, id);
+        EXPECT_EQ(frame.slotOf(id), next_slot++);
     }
+    EXPECT_EQ(static_cast<size_t>(next_slot), frame.visibleCount());
 }
 
 TEST(BinFrameTest, EntriesCarryFeatureDepth)
@@ -118,7 +129,7 @@ TEST(BinFrameTest, EntriesCarryFeatureDepth)
     for (const auto &tile : frame.tiles)
         for (const auto &e : tile) {
             ASSERT_TRUE(frame.isVisible(e.id));
-            EXPECT_FLOAT_EQ(e.depth, frame.featureOf(e.id).depth);
+            EXPECT_FLOAT_EQ(e.depth, frame.depth[frame.slotOf(e.id)]);
             EXPECT_TRUE(e.valid);
         }
 }
@@ -131,14 +142,13 @@ TEST(BinFrameTest, EveryInstanceIntersectsItsTileRect)
     for (int tile = 0; tile < frame.grid.tileCount(); ++tile) {
         Vec2 origin = frame.grid.tileOrigin(tile);
         for (const auto &e : frame.tiles[tile]) {
-            const ProjectedGaussian &pg = frame.featureOf(e.id);
+            const Vec2 mean = frame.mean2d[frame.slotOf(e.id)];
+            const float radius = frame.radius_px[frame.slotOf(e.id)];
             // The gaussian's bbox must overlap the tile's pixel rect.
-            EXPECT_LE(pg.mean2d.x - pg.radius_px,
-                      origin.x + frame.grid.tile_size);
-            EXPECT_GE(pg.mean2d.x + pg.radius_px, origin.x);
-            EXPECT_LE(pg.mean2d.y - pg.radius_px,
-                      origin.y + frame.grid.tile_size);
-            EXPECT_GE(pg.mean2d.y + pg.radius_px, origin.y);
+            EXPECT_LE(mean.x - radius, origin.x + frame.grid.tile_size);
+            EXPECT_GE(mean.x + radius, origin.x);
+            EXPECT_LE(mean.y - radius, origin.y + frame.grid.tile_size);
+            EXPECT_GE(mean.y + radius, origin.y);
         }
     }
 }
@@ -150,7 +160,7 @@ TEST(BinFrameTest, LargerTilesMeanFewerInstances)
     BinnedFrame f16 = binFrame(scene, cam, 16);
     BinnedFrame f64 = binFrame(scene, cam, 64);
     EXPECT_GT(f16.instances, f64.instances);
-    EXPECT_EQ(f16.features.size(), f64.features.size());
+    EXPECT_EQ(f16.visibleCount(), f64.visibleCount());
 }
 
 TEST(BinFrameTest, MeanTileLengthSane)
@@ -182,6 +192,116 @@ TEST_P(TileSizeTest, GridCoversImage)
 
 INSTANTIATE_TEST_SUITE_P(TileSizes, TileSizeTest,
                          ::testing::Values(8, 16, 32, 64));
+
+/**
+ * The historical scalar binning: project every Gaussian into an
+ * id-indexed optional slot (inFrustum, then projectGaussian), then one
+ * serial ascending-id pass that drops empty tile rectangles, appends the
+ * features and scatters the tile entries.
+ */
+BinnedFrame
+referenceBin(const GaussianScene &scene, const Camera &camera, int tile_px)
+{
+    std::vector<std::optional<ProjectedGaussian>> projected(scene.size());
+    for (size_t i = 0; i < scene.size(); ++i)
+        if (inFrustum(scene[i], camera))
+            projected[i] = projectGaussian(
+                scene[i], static_cast<GaussianId>(i), camera);
+
+    BinnedFrame out;
+    out.grid = TileGrid(camera.resolution(), tile_px);
+    out.tiles.resize(static_cast<size_t>(out.grid.tileCount()));
+    out.feature_of_id.assign(scene.size(), -1);
+    for (size_t id = 0; id < scene.size(); ++id) {
+        if (!projected[id])
+            continue;
+        const ProjectedGaussian &pg = *projected[id];
+        const TileRect rect = tileRectOf(pg, out.grid);
+        if (rect.empty())
+            continue;
+        out.feature_of_id[id] = static_cast<int32_t>(out.mean2d.size());
+        out.mean2d.push_back(pg.mean2d);
+        out.radius_px.push_back(pg.radius_px);
+        out.depth.push_back(pg.depth);
+        out.opacity.push_back(pg.opacity);
+        out.color.push_back(pg.color);
+        out.conic.push_back({pg.conic_a, pg.conic_b, pg.conic_c});
+        for (int ty = rect.y0; ty <= rect.y1; ++ty)
+            for (int tx = rect.x0; tx <= rect.x1; ++tx) {
+                out.tiles[out.grid.tileIndex(tx, ty)].push_back(
+                    TileEntry{static_cast<GaussianId>(id), pg.depth, true});
+                ++out.instances;
+            }
+    }
+    return out;
+}
+
+template <typename T>
+bool
+sameBytes(const std::vector<T> &a, const std::vector<T> &b)
+{
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin(),
+                      [](const T &x, const T &y) {
+                          return std::memcmp(&x, &y, sizeof(T)) == 0;
+                      });
+}
+
+TEST(BinFrameTest, MatchesScalarReferenceAtAnyThreadCount)
+{
+    // A synthetic scene plus Gaussians on the awkward paths (behind and
+    // straddling the near plane, zero scale, off-screen, footprints far
+    // larger than the image), with a count that splits into ragged
+    // chunks and a partial last SIMD block.
+    GaussianScene scene = test::tinySyntheticScene(3000, 5);
+    Rng rng(17);
+    for (int i = 0; i < 237; ++i) {
+        Gaussian g = test::makeGaussian(
+            {rng.uniform(-6.0f, 6.0f), rng.uniform(-6.0f, 6.0f),
+             rng.uniform(-5.2f, 4.0f)},
+            std::exp(rng.uniform(-8.0f, 1.5f)));
+        if (i % 7 == 0)
+            g.scale = {0.0f, 0.0f, 0.0f};
+        if (i % 11 == 0)
+            g.position.z = -4.95f; // 0.05 in front of the eye
+        scene.gaussians.push_back(g);
+    }
+    std::vector<Camera> cams = {test::frontCamera(5.0f)};
+    Camera oblique({250, 187, "r"}, deg2rad(70.0f));
+    oblique.lookAt({3.0f, -2.0f, 4.0f}, {0.2f, 0.1f, -0.3f});
+    cams.push_back(oblique);
+    for (const Camera &cam : cams) {
+        for (int tile_px : {16, 64}) {
+            const BinnedFrame ref = referenceBin(scene, cam, tile_px);
+            ASSERT_GT(ref.visibleCount(), 100u);
+            for (int threads : {1, 2, 8}) {
+                SCOPED_TRACE(testing::Message() << "tile " << tile_px
+                                                << " threads " << threads);
+                const BinnedFrame got =
+                    binFrame(scene, cam, tile_px, threads);
+                EXPECT_EQ(got.feature_of_id, ref.feature_of_id);
+                EXPECT_EQ(got.instances, ref.instances);
+                EXPECT_TRUE(sameBytes(got.mean2d, ref.mean2d));
+                EXPECT_TRUE(sameBytes(got.radius_px, ref.radius_px));
+                EXPECT_TRUE(sameBytes(got.depth, ref.depth));
+                EXPECT_TRUE(sameBytes(got.opacity, ref.opacity));
+                EXPECT_TRUE(sameBytes(got.color, ref.color));
+                EXPECT_TRUE(sameBytes(got.conic, ref.conic));
+                ASSERT_EQ(got.tiles.size(), ref.tiles.size());
+                for (size_t t = 0; t < ref.tiles.size(); ++t) {
+                    ASSERT_EQ(got.tiles[t].size(), ref.tiles[t].size());
+                    for (size_t i = 0; i < ref.tiles[t].size(); ++i) {
+                        EXPECT_EQ(got.tiles[t][i].id, ref.tiles[t][i].id);
+                        EXPECT_EQ(
+                            std::bit_cast<uint32_t>(got.tiles[t][i].depth),
+                            std::bit_cast<uint32_t>(ref.tiles[t][i].depth));
+                        EXPECT_TRUE(got.tiles[t][i].valid);
+                    }
+                }
+            }
+        }
+    }
+}
 
 } // namespace
 } // namespace neo
